@@ -18,11 +18,10 @@ from .forest_graph import (ConnectivityReport, ForestGraph, build_forest_graph,
 from .forests import (ForestFamily, MaximalForest, brute_force_maximal_forests,
                       count_maximal_forests, extend_to_maximal, maximal_forests)
 from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
-                     bridges, build_graph, canonical_form, cartesian_product,
+                     blocks, bridges, canonical_form, cartesian_product,
                      complete_graph, components, cycle_graph, cyclomatic_number,
-                     enumerate_cycles, find_isomorphism, hamiltonian_cycle,
-                     is_bipartite, is_isomorphic, max_clique, path_graph,
-                     unique_cycle)
+                     find_isomorphism, hamiltonian_cycle, is_bipartite,
+                     is_isomorphic, max_clique, path_graph, unique_cycle)
 from .io import (ParseError, format_dot, format_edge_list, parse_dot,
                  parse_edge_list, parse_graph)
 from .roots import (DepthReport, NoRootCertificate, RootChainCertificate,
@@ -37,13 +36,13 @@ __all__ = [
     "DepthReport", "EdgeSubset", "ForestFamily", "ForestGraph", "Graph",
     "GraphInputError", "GrowthReport", "GrowthStep", "MaximalForest",
     "NoRootCertificate", "ParseError", "RootChainCertificate",
-    "RootSearchResult", "Verdict", "WhitneyResult", "bridges",
-    "brute_force_maximal_forests", "build_forest_graph", "build_graph",
-    "canonical_form", "cartesian_product", "classify",
+    "RootSearchResult", "Verdict", "WhitneyResult", "blocks", "bridges",
+    "brute_force_maximal_forests", "build_forest_graph", "canonical_form",
+    "cartesian_product", "classify",
     "clique_witness_from_complete", "clique_witness_from_cycle",
     "clique_witness_from_two_triangles", "complete_graph", "components",
     "count_maximal_forests", "cycle_graph", "cyclomatic_number",
-    "depth_lower_bound", "enumerate_cycles", "enumerate_graphs",
+    "depth_lower_bound", "enumerate_graphs",
     "exchange_path", "extend_to_maximal", "find_isomorphism", "find_roots",
     "finite_connectivity_check", "forest_distance", "format_dot",
     "format_edge_list", "hamiltonian_cycle", "is_bipartite", "is_isomorphic",

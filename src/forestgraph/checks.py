@@ -25,21 +25,6 @@ def _small_corpus(max_n):
             yield g
 
 
-def _bfs_distances(graph, src):
-    dist = [-1] * graph.vertex_count
-    dist[src] = 0
-    queue = [src]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w, _ in graph.incident(v):
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def check_forest_counts(max_n=5):
     """Determinant count == enumeration == definitional subset scan."""
     tried = 0
@@ -65,7 +50,7 @@ def check_exchange_metric(max_n=5, budget=forests.FOREST_BUDGET):
     for g in _small_corpus(max_n):
         fg = forest_graph.build_forest_graph(g, budget)
         n = len(fg.family)
-        dist_rows = [_bfs_distances(fg.graph, i) for i in range(n)]
+        dist_rows = [forest_graph._bfs(fg.graph, i) for i in range(n)]
         for i in range(n):
             for j in range(n):
                 want = forest_graph.forest_distance(fg.family[i], fg.family[j])

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
 from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, extend_to_maximal
-from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
-                     complete_graph, cyclomatic_number, enumerate_cycles,
+from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError, blocks,
+                     complete_graph, cyclomatic_number, find_long_cycle,
                      hamiltonian_cycle, is_isomorphic, unique_cycle)
 
 CONVERGENT = "convergent"
@@ -88,8 +88,14 @@ def iterate_F(g, n, budget=FOREST_BUDGET):
     return current
 
 
-def classify(g, cycle_limit=10**6) -> Verdict:
-    """Decide convergence and attach the limit or a divergence witness."""
+def classify(g) -> Verdict:
+    """Decide convergence and attach the limit or a divergence witness.
+
+    Past one cycle the blocks decide.  A block on four or more vertices holds
+    a cycle of length >= 4: searched for inside the large blocks through
+    their smallest vertex, it is the first one a depth-first search of g
+    meets.  Otherwise the first two triangle blocks are the witness.
+    """
     beta = cyclomatic_number(g)
     if beta == 0:
         return Verdict(CONVERGENT, limit="K1", steps=_steps_to_limit(g, complete_graph(1)))
@@ -98,22 +104,55 @@ def classify(g, cycle_limit=10**6) -> Verdict:
         if cyc.length == 3:
             return Verdict(CONVERGENT, limit="K3", steps=_steps_to_limit(g, complete_graph(3)))
         return Verdict(DIVERGENT, witness_kind=WITNESS_LONG_CYCLE, witness=(cyc,))
-    cycles, truncated = enumerate_cycles(g, cycle_limit)
-    triangles = []
-    for cyc in cycles:
-        if cyc.length >= 4:
-            return Verdict(DIVERGENT, witness_kind=WITNESS_LONG_CYCLE, witness=(cyc,))
-        triangles.append(cyc)
-    if truncated:
-        raise BudgetError("cycle enumeration truncated before a witness was found",
-                          count=len(cycles), budget=cycle_limit)
-    # only triangles exist; with beta >= 2 two of them must be edge-disjoint
-    for i in range(len(triangles) - 1):
-        for j in range(i + 1, len(triangles)):
-            if triangles[i].edge_bits() & triangles[j].edge_bits() == 0:
-                return Verdict(DIVERGENT, witness_kind=WITNESS_TWO_TRIANGLES,
-                               witness=(triangles[i], triangles[j]))
-    raise AssertionError("no divergence witness in a graph with cyclomatic number >= 2")
+    spans = [sorted({x for eid in block for x in g.edges[eid]})
+             for block in blocks(g) if len(block) > 1]
+    large = [verts for verts in spans if len(verts) >= 4]
+    if not large:
+        first, second = sorted(spans)[:2]
+        return Verdict(DIVERGENT, witness_kind=WITNESS_TWO_TRIANGLES,
+                       witness=(Cycle(g, first), Cycle(g, second)))
+    start = min(verts[0] for verts in large)
+    # relabel in order, so the search takes the steps it would take on g
+    keep = sorted({x for verts in large if verts[0] == start for x in verts})
+    pos = {v: i for i, v in enumerate(keep)}
+    sub = Graph(len(keep), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
+    cyc = find_long_cycle(sub, 4) or _long_cycle_from_tree(sub)
+    return Verdict(DIVERGENT, witness_kind=WITNESS_LONG_CYCLE,
+                   witness=(Cycle(g, [keep[v] for v in cyc.vertices]),))
+
+
+def _long_cycle_from_tree(sub) -> Cycle:
+    """A cycle of length >= 4 in `sub`, whose blocks all have four or more
+    vertices and meet at vertex 0, read off a depth-first tree in linear time
+    for when the search budget of find_long_cycle runs out.
+
+    A back edge spanning three levels closes one.  Otherwise every vertex two
+    or more levels down has a back edge to its grandparent, and two such edges
+    make a 4-cycle.
+    """
+    parent, depth = {0: None}, {0: 0}
+    stack = [(0, iter(sub.neighbors(0)))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                stack.append((w, iter(sub.neighbors(w))))
+                break
+            if depth[w] <= depth[v] - 3:
+                walk = [v]
+                while walk[-1] != w:
+                    walk.append(parent[walk[-1]])
+                return Cycle(sub, walk)
+        else:
+            stack.pop()
+    u = next((u for u in parent if depth[u] == 3), None)
+    if u is not None:
+        return Cycle(sub, (0, parent[parent[u]], u, parent[u]))
+    # every child of 0 has two children, each joined to 0
+    x = next(x for x in parent if depth[x] == 2)
+    y = next(y for y in parent if depth[y] == 2 and y != x and parent[y] == parent[x])
+    return Cycle(sub, (0, x, parent[x], y))
 
 
 def _steps_to_limit(g, limit_graph, budget=FOREST_BUDGET):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-CYCLE_LIMIT = 10**6
 CLIQUE_VERTEX_LIMIT = 200
 HAMILTONIAN_VERTEX_LIMIT = 30
 ISO_VERTEX_LIMIT = 12
@@ -99,11 +98,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
-
-
-def build_graph(vertex_count, edges, vertex_names=None) -> Graph:
-    """Validate, normalize, sort and deduplicate raw edge pairs into a Graph."""
-    return Graph(vertex_count, edges, vertex_names)
 
 
 def complete_graph(n) -> Graph:
@@ -267,12 +261,18 @@ def cyclomatic_number(g) -> int:
     return len(g.edges) - g.vertex_count + len(components(g))
 
 
-def bridges(g) -> EdgeSubset:
-    """Edges lying on no cycle, via one lowpoint DFS pass."""
+def blocks(g) -> list:
+    """Edge ids of each biconnected component (block), from one lowpoint DFS.
+
+    Each block is a sorted tuple of edge ids and the blocks are ordered by
+    their smallest edge id.  Bridges are the single-edge blocks; every cycle
+    lies inside one block.
+    """
     n = g.vertex_count
     disc = [-1] * n
     low = [0] * n
-    out = 0
+    edge_stack = []
+    out = []
     timer = 0
     for root in range(n):
         if disc[root] != -1:
@@ -282,26 +282,39 @@ def bridges(g) -> EdgeSubset:
         stack = [(root, -1, iter(g.incident(root)))]
         while stack:
             v, pe, it = stack[-1]
-            advanced = False
             for w, eid in it:
                 if eid == pe:
                     continue
                 if disc[w] == -1:
+                    edge_stack.append(eid)
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append((w, eid, iter(g.incident(w))))
-                    advanced = True
                     break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            if not advanced:
+                if disc[w] < disc[v]:
+                    edge_stack.append(eid)
+                    low[v] = min(low[v], disc[w])
+            else:
                 stack.pop()
-                if pe != -1:
+                if stack:
                     u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] > disc[u]:
-                        out |= 1 << pe
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        # u separates v's subtree: its edges, down to pe, form a block
+                        block = [edge_stack.pop()]
+                        while block[-1] != pe:
+                            block.append(edge_stack.pop())
+                        out.append(tuple(sorted(block)))
+    out.sort()
+    return out
+
+
+def bridges(g) -> EdgeSubset:
+    """Edges lying on no cycle: the single-edge blocks."""
+    out = 0
+    for block in blocks(g):
+        if len(block) == 1:
+            out |= 1 << block[0]
     return EdgeSubset(g, out)
 
 
@@ -309,58 +322,19 @@ def unique_cycle(g):
     """The one cycle of a graph with cyclomatic number 1, else None."""
     if cyclomatic_number(g) != 1:
         return None
-    on_cycle = [i for i in range(len(g.edges)) if not (bridges(g).bits >> i & 1)]
+    ring = next(block for block in blocks(g) if len(block) > 1)
     # walk the cycle edges into vertex order
     adj = {}
-    for i in on_cycle:
+    for i in ring:
         u, v = g.edges[i]
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    start = min(adj)
-    walk = [start]
-    prev = None
-    cur = start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
+    walk = [min(adj)]
+    walk.append(adj[walk[0]][0])
+    while len(walk) < len(ring):
+        a, b = adj[walk[-1]]
+        walk.append(b if a == walk[-2] else a)
     return Cycle(g, walk)
-
-
-def enumerate_cycles(g, limit=CYCLE_LIMIT):
-    """Enumerate all simple cycles, each exactly once, in a fixed order.
-
-    Returns (cycles, truncated); truncated is True when the limit cut the
-    enumeration short.
-    """
-    cycles = []
-    adj = [g.neighbors(v) for v in range(g.vertex_count)]
-    for s in range(g.vertex_count):
-        stack = [(s, iter(adj[s]))]
-        path = [s]
-        onpath = {s}
-        while stack:
-            v, it = stack[-1]
-            pushed = False
-            for w in it:
-                if w == s and len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(Cycle(g, tuple(path)))
-                    if len(cycles) >= limit:
-                        return cycles, True
-                elif w > s and w not in onpath:
-                    path.append(w)
-                    onpath.add(w)
-                    stack.append((w, iter(adj[w])))
-                    pushed = True
-                    break
-            if not pushed:
-                stack.pop()
-                onpath.discard(v)
-                path.pop()
-    return cycles, False
 
 
 BipartiteReport = namedtuple("BipartiteReport", "bipartite coloring odd_cycle")

@@ -1,4 +1,4 @@
-"""Text formats: the edge-list format, a DOT subset, and structured exports.
+"""Text formats: the edge-list format and a DOT subset.
 
 Edge-list input is one edge per line as two whitespace-separated vertex
 tokens; lines starting with '#' are ignored, and the first data line may be a
@@ -9,10 +9,11 @@ accepts `graph NAME? { a -- b; ... }` with attribute brackets ignored.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .graphs import Graph
+
+HEADER_VERTEX_LIMIT = 10**6
 
 
 class ParseError(ValueError):
@@ -36,10 +37,15 @@ def parse_edge_list(text) -> Graph:
             continue
         tokens = line.split()
         if not saw_data and len(tokens) == 2 and tokens[0] == "vertices":
-            if not tokens[1].isdigit():
-                raise ParseError(f"vertex count {tokens[1]!r} is not a number",
-                                 lineno, line.index(tokens[1]) + 1)
-            declared = int(tokens[1])
+            column = line.index(tokens[1]) + 1
+            if not tokens[1].isdecimal():
+                raise ParseError(f"vertex count {tokens[1]!r} is not a number", lineno, column)
+            # int() refuses strings of over 4300 digits, so compare lengths first
+            count = tokens[1].lstrip("0") or "0"
+            if len(count) > len(str(HEADER_VERTEX_LIMIT)) or int(count) > HEADER_VERTEX_LIMIT:
+                raise ParseError(f"header declares more than {HEADER_VERTEX_LIMIT} vertices",
+                                 lineno, column)
+            declared = int(count)
             saw_data = True
             continue
         saw_data = True
@@ -202,24 +208,3 @@ def format_dot(g, labels=None) -> str:
         out.append(f'  "{g.name_of(u)}" -- "{g.name_of(v)}";')
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def family_text(family) -> str:
-    """One forest per line: its sorted edge indices, space separated."""
-    return "\n".join(" ".join(map(str, f.edge_ids())) for f in family) + "\n"
-
-
-def family_json(family) -> str:
-    g = family.graph
-    rows = [{"edge_ids": list(f.edge_ids()),
-             "edges": [[g.name_of(u), g.name_of(v)] for u, v in f.pairs()]}
-            for f in family]
-    return json.dumps({"count": len(family), "forests": rows}, indent=2) + "\n"
-
-
-def graph_json(g) -> dict:
-    return {
-        "vertex_count": g.vertex_count,
-        "vertex_names": list(g.vertex_names) if g.vertex_names else None,
-        "edges": [[u, v] for u, v in g.edges],
-    }

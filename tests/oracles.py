@@ -2,8 +2,9 @@
 
 Nothing here shares algorithms with the package: spanning trees are counted
 by deletion-contraction on multigraphs, cycles come from vertex-sequence
-brute force, isomorphism tries every permutation, cliques come from subset
-scans, and unlabeled-graph counts come from the orbit-counting lemma.
+brute force, blocks come from merging edges that share a cycle, isomorphism
+tries every permutation, cliques come from subset scans, and unlabeled-graph
+counts come from the orbit-counting lemma.
 """
 
 from __future__ import annotations
@@ -102,6 +103,16 @@ def brute_force_bridges(g) -> set:
         if v not in seen:
             out.add(i)
     return out
+
+
+def brute_force_blocks(g) -> set:
+    """Edge classes linked by chains of common cycles; bridges stay single."""
+    classes = {frozenset([i]) for i in range(len(g.edges))}
+    for cyc in brute_force_cycles(g):
+        touching = {c for c in classes if c & cyc}
+        classes -= touching
+        classes.add(frozenset().union(*touching))
+    return classes
 
 
 def bfs_distances(g, src) -> list:

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from forestgraph import (Graph, build_forest_graph, cartesian_product,
-                         clique_witness_from_complete,
+                         classify, clique_witness_from_complete,
                          clique_witness_from_cycle, complete_graph,
                          count_maximal_forests, cycle_graph, depth_lower_bound,
                          enumerate_graphs, exchange_path, find_roots,
@@ -114,6 +114,18 @@ def test_classifier_matches_iteration():
         fg6 = build_forest_graph(complete_graph(6))
         evidence6 = divergence_growth_evidence(complete_graph(6), fg6)
         assert evidence6["grew"] and evidence6["mode"] == "exchange-bound"
+
+
+def test_classify_scales_with_blocks():
+    with criterion("classify K_30 and a chain of 60 triangles", 1.0):
+        verdict = classify(complete_graph(30))
+        assert verdict.witness_kind == "long_cycle"
+        assert verdict.witness[0].vertices == (0, 1, 2, 3)
+        chain = Graph(121, [e for i in range(0, 120, 2)
+                            for e in ((i, i + 1), (i, i + 2), (i + 1, i + 2))])
+        verdict = classify(chain)
+        assert verdict.witness_kind == "two_triangles"
+        assert [t.vertices for t in verdict.witness] == [(0, 1, 2), (2, 3, 4)]
 
 
 def test_stable_graphs_are_k1_and_k3():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from forestgraph import (BudgetError, Cycle, Graph, GraphInputError,
+import itertools
+
+from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
                          build_forest_graph, classify,
                          clique_witness_from_complete, clique_witness_from_cycle,
                          clique_witness_from_two_triangles, complete_graph,
@@ -10,7 +12,8 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError,
                          iterate_F, path_graph, unique_cycle,
                          verify_clique_growth)
 from forestgraph.dynamics import (CONVERGENT, DIVERGENT, WITNESS_LONG_CYCLE,
-                                  WITNESS_TWO_TRIANGLES)
+                                  WITNESS_TWO_TRIANGLES, _long_cycle_from_tree)
+from forestgraph.graphs import find_long_cycle
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
@@ -79,6 +82,31 @@ class TestClassify:
         assert verdict.status == DIVERGENT
         assert verdict.witness_kind == WITNESS_LONG_CYCLE
         assert verdict.witness[0].length >= 4
+
+    def test_long_cycle_when_search_budget_runs_out(self):
+        # one block: the search from 0 enters the clique on 2..20 through 2 and
+        # must try every path there before it leaves through 21
+        edges = [(0, 1), (1, 2), (1, 20), (2, 21), (21, 22), (0, 22)]
+        g = Graph(23, edges + list(itertools.combinations(range(2, 21), 2)))
+        assert find_long_cycle(g, 4) is None
+        verdict = classify(g)
+        assert verdict.witness_kind == WITNESS_LONG_CYCLE
+        assert verdict.witness[0].host is g and verdict.witness[0].length >= 4
+
+    def test_tree_cycle_in_blocks_through_vertex_0(self):
+        subs = []
+        for g in enumerate_graphs(6):
+            if all(g.degree(v) for v in range(6)) and len(blocks(g)) == 1:
+                for r in range(6):
+                    swap = {0: r, r: 0}
+                    subs.append(Graph(6, [(swap.get(u, u), swap.get(v, v))
+                                          for u, v in g.edges]))
+        k4 = list(itertools.combinations(range(4), 2))
+        subs.append(Graph(7, k4 + [(0, 4), (4, 5), (5, 6), (0, 6)]))
+        subs.append(Graph(7, k4 + [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]))
+        assert len(subs) > 300
+        for sub in subs:
+            assert _long_cycle_from_tree(sub).length >= 4, sub
 
     def test_witness_serialization(self):
         verdict = classify(BOWTIE)

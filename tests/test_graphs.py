@@ -5,15 +5,16 @@ import itertools
 import pytest
 
 from forestgraph import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
-                         bridges, build_graph, canonical_form, cartesian_product,
+                         blocks, bridges, canonical_form, cartesian_product,
                          complete_graph, components, cycle_graph,
-                         cyclomatic_number, enumerate_cycles, enumerate_graphs,
-                         find_isomorphism, hamiltonian_cycle, is_bipartite,
-                         is_isomorphic, max_clique, path_graph, unique_cycle)
+                         cyclomatic_number, enumerate_graphs, find_isomorphism,
+                         hamiltonian_cycle, is_bipartite, is_isomorphic,
+                         max_clique, path_graph, unique_cycle)
 from forestgraph.graphs import find_long_cycle
 
-from .oracles import (brute_force_bridges, brute_force_cycles,
-                      brute_force_isomorphic, brute_force_max_clique_size)
+from .oracles import (brute_force_blocks, brute_force_bridges,
+                      brute_force_cycles, brute_force_isomorphic,
+                      brute_force_max_clique_size)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -27,20 +28,20 @@ def small_corpus(max_n=5):
 
 class TestGraph:
     def test_build_triangle(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g.edges == ((0, 1), (0, 2), (1, 2))
 
     def test_duplicates_merged(self):
-        g = build_graph(4, [(0, 1), (1, 0)])
+        g = Graph(4, [(0, 1), (1, 0)])
         assert g.edges == ((0, 1),)
 
     def test_loop_rejected(self):
         with pytest.raises(GraphInputError):
-            build_graph(2, [(0, 0)])
+            Graph(2, [(0, 0)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphInputError):
-            build_graph(2, [(0, 2)])
+            Graph(2, [(0, 2)])
 
     def test_edge_index_matches_position(self):
         g = complete_graph(4)
@@ -128,6 +129,18 @@ class TestBridges:
             assert set(bridges(g).ids()) == set(range(len(g.edges))) - on_cycle
 
 
+class TestBlocks:
+    def test_bowtie_two_blocks(self):
+        assert blocks(BOWTIE) == [(0, 1, 2), (3, 4, 5)]
+
+    def test_against_oracle_exhaustively(self):
+        for g in small_corpus(6):
+            got = blocks(g)
+            assert got == sorted(got) and all(list(b) == sorted(b) for b in got)
+            assert {frozenset(b) for b in got} == brute_force_blocks(g), g
+            assert sum(len(b) for b in got) == len(g.edges)
+
+
 class TestCycles:
     def test_unique_cycle_c5(self):
         cyc = unique_cycle(cycle_graph(5))
@@ -140,30 +153,6 @@ class TestCycles:
     def test_unique_cycle_iff_beta_one(self):
         for g in small_corpus(5):
             assert (unique_cycle(g) is not None) == (cyclomatic_number(g) == 1)
-
-    def test_k3_one_cycle(self):
-        cycles, truncated = enumerate_cycles(complete_graph(3))
-        assert len(cycles) == 1 and not truncated
-
-    def test_k4_seven_cycles(self):
-        cycles, _ = enumerate_cycles(complete_graph(4))
-        assert len(cycles) == 7
-        assert sorted(c.length for c in cycles) == [3, 3, 3, 3, 4, 4, 4]
-
-    def test_bowtie_two_cycles(self):
-        cycles, _ = enumerate_cycles(BOWTIE)
-        assert len(cycles) == 2
-
-    def test_against_oracle_exhaustively(self):
-        for g in small_corpus(5):
-            cycles, truncated = enumerate_cycles(g)
-            assert not truncated
-            assert {frozenset(c.edge_ids) for c in cycles} == brute_force_cycles(g)
-            assert len({c.vertices for c in cycles}) == len(cycles)
-
-    def test_truncation_flag(self):
-        cycles, truncated = enumerate_cycles(complete_graph(6), limit=3)
-        assert truncated and len(cycles) == 3
 
     def test_cycle_normalization(self):
         g = cycle_graph(4)

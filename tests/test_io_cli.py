@@ -2,6 +2,7 @@
 
 import io
 import sys
+import time
 
 import pytest
 
@@ -42,6 +43,13 @@ class TestEdgeListParse:
     def test_header_too_small(self):
         with pytest.raises(ParseError):
             parse_edge_list("vertices 2\na b\nb c\n")
+
+    def test_header_count_checked(self):
+        for count in ("1000001", "9" * 5000, "\u00b2"):
+            with pytest.raises(ParseError) as info:
+                parse_edge_list(f"vertices {count}\na b\n")
+            assert info.value.line == 1 and info.value.column == 10
+        assert parse_edge_list("vertices " + "0" * 5000 + "7\na b\n").vertex_count == 7
 
     def test_first_seen_order(self):
         g = parse_edge_list("z y\nx z\n")
@@ -136,6 +144,24 @@ class TestCliGolden:
         assert out == ("status=divergent\nlimit=-\nsteps=-\n"
                        "witness_kind=two_triangles\nwitness_edges=0,2,1;3,5,4\n")
 
+    @pytest.mark.parametrize("text, edges", [
+        (format_edge_list(complete_graph(5)), "0,4,7,2"),
+        ("0 1\n0 2\n1 2\n1 3\n2 3\n", "0,3,4,1"),
+        # a C_4 hung on the end of a chain of three triangles
+        ("0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n4 5\n4 6\n5 6\n6 7\n7 8\n8 9\n6 9\n",
+         "9,11,12,10"),
+        # two K_4 blocks sharing vertex 3
+        ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n3 5\n3 6\n4 5\n4 6\n5 6\n",
+         "0,3,5,2"),
+        # a triangle, a bridge, then a C_5
+        ("0 1\n0 2\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n3 7\n", "4,6,7,8,5"),
+    ], ids=["K5", "diamond", "c4-on-triangle-chain", "two-k4-at-cut", "c5-bridge-triangle"])
+    def test_classify_long_cycle_structured(self, capsys, text, edges):
+        code, out, _ = run_cli(["classify", "-", "--format", "structured"], text, capsys)
+        assert code == 0
+        assert out == ("status=divergent\nlimit=-\nsteps=-\n"
+                       f"witness_kind=long_cycle\nwitness_edges={edges}\n")
+
     def test_classify_convergent(self, capsys):
         code, out, _ = run_cli(["classify", "-"], "0 1\n1 2\n0 2\n2 3\n", capsys)
         assert code == 0
@@ -223,6 +249,12 @@ class TestCliErrors:
         code, _, err = run_cli(["count", "-"], "0 0\n", capsys)
         assert code == 2
         assert "line 1" in err and "loop" in err
+
+    def test_huge_header_exit_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(["count", "-"], "vertices 1000000000\na b\n", capsys)
+        assert code == 2 and "line 1" in err
+        assert time.perf_counter() - start < 0.5
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(["count", "/nonexistent/path.txt"], capsys=capsys)
