@@ -8,10 +8,11 @@ exchange-path construction realizes step by step.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from .forests import FOREST_BUDGET, MaximalForest, maximal_forests
-from .graphs import EdgeSubset, Graph, GraphInputError
+from .graphs import EdgeSubset, Graph, GraphInputError, blocks
 
 
 class ForestGraph:
@@ -38,26 +39,61 @@ class ForestGraph:
 def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     """Enumerate the forest family and connect forests one exchange apart.
 
-    Adjacency comes from bucketing each forest under its edge set minus one
-    member: two forests share a bucket exactly when they differ in one edge
-    each way, so each bucket contributes a clique and every adjacent pair
-    appears in exactly one bucket.
+    F(g) is the Cartesian product of the blocks' forest graphs, the bridges
+    contributing K_1: two maximal forests are one exchange apart exactly when
+    they agree outside one block and their trees of that block are one
+    exchange apart.  Each block's trees are the family's restrictions to the
+    block's edges, so the bucket join runs over those trees alone.  Each
+    product edge is then mapped to family indices by `family_index`, one
+    permutation from product positions to the family's order.
     """
     family = maximal_forests(g, budget)
+    members = [f.bits for f in family]
+    per_block = []
+    # each member's product position: its tree numbers, one per block, read
+    # as a mixed-radix number with the first block's number most significant
+    positions = [0] * len(members)
+    for block in blocks(g):
+        if len(block) > 1:
+            mask = sum(1 << i for i in block)
+            trees = {}
+            coords = [trees.setdefault(bits & mask, len(trees)) for bits in members]
+            positions = [p * len(trees) + c for p, c in zip(positions, coords)]
+            per_block.append(list(trees))
+    family_index = [0] * len(members)
+    for i, p in enumerate(positions):
+        family_index[p] = i
+    edges = []
+    stride = len(family_index)
+    for trees in per_block:
+        span = stride
+        stride //= len(trees)
+        cliques = _exchange_cliques(trees)
+        for top in range(0, len(family_index), span):
+            for p in range(top, top + stride):
+                # the family indices of this block's trees, the other blocks fixed
+                at = family_index[p:p + span:stride]
+                edges += [(at[a], at[b]) for clique in cliques
+                          for a, b in itertools.combinations(clique, 2)]
+    return ForestGraph(g, family, Graph(len(family), edges))
+
+
+def _exchange_cliques(trees):
+    """Groups of tree indices, the trees of each group pairwise one exchange
+    apart, and every such pair in exactly one group.
+
+    Each tree goes into one bucket per member edge, keyed by its edge set
+    minus that edge: two trees share a bucket exactly when they differ in one
+    edge each way.
+    """
     buckets = {}
-    for i, forest in enumerate(family):
-        bits = forest.bits
+    for i, bits in enumerate(trees):
         b = bits
         while b:
             lsb = b & -b
             b ^= lsb
             buckets.setdefault(bits ^ lsb, []).append(i)
-    edges = []
-    for group in buckets.values():
-        for a in range(len(group) - 1):
-            for b in range(a + 1, len(group)):
-                edges.append((group[a], group[b]))
-    return ForestGraph(g, family, Graph(len(family), edges))
+    return [group for group in buckets.values() if len(group) > 1]
 
 
 def forest_distance(f1, f2) -> int:

@@ -1,38 +1,42 @@
 """Maximal spanning forests: exact counting, enumeration, extension.
 
-A maximal forest takes one spanning tree per connected component, so the
-count is the product of per-component spanning-tree counts.  Counting always
-happens before enumerating; enumeration refuses to start when the exact count
-exceeds the caller's budget.
+A maximal forest takes one spanning tree per connected component.  Every
+cycle lies inside one block (biconnected component), so the cycle matroid is
+the direct sum of the blocks' matroids: a maximal forest is the bridges plus
+one spanning tree of each larger block, and the count is the product of the
+blocks' spanning-tree counts.  Counting always happens before enumerating;
+enumeration refuses to start when the exact count exceeds the caller's budget.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .graphs import BudgetError, EdgeSubset, GraphInputError, components
+from .graphs import BudgetError, EdgeSubset, GraphInputError, blocks, components
 
 FOREST_BUDGET = 10**6
 BRUTE_FORCE_EDGE_LIMIT = 20
 
 
 class MaximalForest:
-    """A maximal spanning forest of a host graph, validated on construction."""
+    """A maximal spanning forest of a host graph, validated on construction.
+
+    `_rank`, the host's vertex count minus its component count, lets a caller
+    that builds many forests of one host compute it once.
+    """
 
     __slots__ = ("host", "edges")
 
-    def __init__(self, host, edges):
+    def __init__(self, host, edges, *, _rank=None):
         if isinstance(edges, EdgeSubset):
             if edges.host is not host and edges.host != host:
                 raise GraphInputError("edge subset belongs to a different graph")
             subset = EdgeSubset(host, edges.bits)
         else:
             subset = EdgeSubset.from_ids(host, edges)
-        want = host.vertex_count - len(components(host))
+        want = host.vertex_count - len(components(host)) if _rank is None else _rank
         if len(subset) != want:
             raise GraphInputError(
                 f"not a maximal forest: {len(subset)} edges, expected {want}")
-        if _has_cycle(host, subset.bits):
+        if _forest_parents(host, subset.bits) is None:
             raise GraphInputError("not a forest: edge set contains a cycle")
         self.host = host
         self.edges = subset
@@ -84,25 +88,27 @@ class ForestFamily:
         return self.members[i]
 
 
-def _has_cycle(g, bits):
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _forest_parents(g, bits):
+    """Union-find parents after joining the endpoints of every edge in bits,
+    or None when one of those edges closes a cycle."""
     parent = list(range(g.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     b = bits
     while b:
         lsb = b & -b
         b ^= lsb
         u, v = g.edges[lsb.bit_length() - 1]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
-            return True
+            return None
         parent[ru] = rv
-    return False
+    return parent
 
 
 def _det_bareiss(mat):
@@ -133,18 +139,16 @@ def _det_bareiss(mat):
     return sign * a[n - 1][n - 1]
 
 
-def _tree_count(g, comp):
-    """Spanning trees of one connected component via a Laplacian cofactor."""
-    if len(comp) == 1:
-        return 1
-    pos = {v: i for i, v in enumerate(comp[1:])}
-    k = len(comp) - 1
+def _tree_count(g, block):
+    """Spanning trees of one block (its edge ids) via a Laplacian cofactor."""
+    verts = sorted({v for i in block for v in g.edges[i]})
+    pos = {v: i for i, v in enumerate(verts[1:])}
+    k = len(verts) - 1
     mat = [[0] * k for _ in range(k)]
-    for u, v in g.edges:
+    for i in block:
+        u, v = g.edges[i]
         iu = pos.get(u)
         iv = pos.get(v)
-        if iu is None and iv is None:
-            continue
         if iu is not None:
             mat[iu][iu] += 1
         if iv is not None:
@@ -156,90 +160,85 @@ def _tree_count(g, comp):
 
 
 def count_maximal_forests(g) -> int:
-    """Exact number of maximal forests, by the matrix-tree theorem per component."""
+    """Exact number of maximal forests: the product over the blocks of g of
+    each block's spanning-tree count, one Laplacian-cofactor determinant per
+    block of two or more edges (matrix-tree theorem).  Bridges and isolated
+    vertices contribute a factor of 1."""
     total = 1
-    for comp in components(g):
-        total *= _tree_count(g, comp)
+    for block in blocks(g):
+        if len(block) > 1:
+            total *= _tree_count(g, block)
     return total
 
 
-def _spanning_trees_of_component(g, comp):
-    """Edge-id tuples of all spanning trees of one component.
+def _spanning_trees(g, block):
+    """Bitmasks of all spanning trees of one block, given as its edge ids.
 
-    Include/exclude branching over the component's edges in index order, with
-    an exclude branch taken only while the undecided edges can still span
-    (which silently forces bridges in).
+    Include/exclude branching over the block's edges in index order, with
+    an exclude branch taken only while the undecided edges can still span.
     """
-    comp_set = set(comp)
-    edge_ids = [i for i, (u, v) in enumerate(g.edges) if u in comp_set]
-    need = len(comp) - 1
-    if need == 0:
-        return [()]
+    verts = {v for i in block for v in g.edges[i]}
+    need = len(verts) - 1
     out = []
 
-    def spannable(chosen, start):
-        parent = {v: v for v in comp}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        blocks = len(comp)
-        for i in itertools.chain(chosen, edge_ids[start:]):
+    def spannable(parent, pieces, start):
+        parent = dict(parent)
+        for i in block[start:]:
             u, v = g.edges[i]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
-                blocks -= 1
-                if blocks == 1:
+                pieces -= 1
+                if pieces == 1:
                     return True
-        return blocks == 1
+        return pieces == 1
 
     def rec(idx, parent, chosen):
         if len(chosen) == need:
-            out.append(tuple(chosen))
+            out.append(sum(1 << i for i in chosen))
             return
-        if idx == len(edge_ids):
+        if idx == len(block):
             return
-        eid = edge_ids[idx]
+        eid = block[idx]
         u, v = g.edges[eid]
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             child = dict(parent)
             child[ru] = rv
             chosen.append(eid)
             rec(idx + 1, child, chosen)
             chosen.pop()
-        if spannable(chosen, idx + 1):
+        if spannable(parent, len(verts) - len(chosen), idx + 1):
             rec(idx + 1, parent, chosen)
 
-    rec(0, {v: v for v in comp}, [])
+    rec(0, {v: v for v in verts}, [])
     return out
 
 
 def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
-    """Enumerate every maximal forest; refuses (with the exact count) over budget."""
+    """Enumerate every maximal forest; refuses (with the exact count) over budget.
+
+    Each block's spanning trees are enumerated on the block's own edges (a
+    bridge's one tree is itself) and crossed with the other blocks' trees.
+    The family is sorted once into lexicographic order of edge-id tuples.
+    For edge sets of one size that order puts first the set owning the
+    lowest edge of the symmetric difference, so it sorts the bit strings
+    read from edge 0 up, highest first.
+    """
     count = count_maximal_forests(g)
     if count > budget:
         raise BudgetError(
             f"graph has {count} maximal forests, over the budget of {budget}",
             count=count, budget=budget)
-    per_component = [_spanning_trees_of_component(g, comp)
-                     for comp in components(g)]
-    combos = []
-    for pick in itertools.product(*per_component):
-        ids = tuple(sorted(itertools.chain.from_iterable(pick)))
-        combos.append(ids)
-    combos.sort()
-    family = ForestFamily(g, (MaximalForest(g, ids) for ids in combos))
+    members = [0]
+    for block in blocks(g):
+        trees = _spanning_trees(g, block)
+        members = [bits | tree for bits in members for tree in trees]
+    width = len(g.edges)
+    members.sort(key=lambda bits: f"{bits:0{width}b}"[::-1], reverse=True)
+    rank = g.vertex_count - len(components(g))
+    family = ForestFamily(g, (MaximalForest(g, EdgeSubset(g, bits), _rank=rank)
+                              for bits in members))
     if len(family) != count:
         raise AssertionError(
             f"enumerated {len(family)} forests but the determinant says {count}")
@@ -254,24 +253,11 @@ def extend_to_maximal(g, partial) -> MaximalForest:
             raise GraphInputError("edge subset belongs to a different graph")
     else:
         bits = EdgeSubset.from_ids(g, partial).bits
-    if _has_cycle(g, bits):
+    parent = _forest_parents(g, bits)
+    if parent is None:
         raise GraphInputError("partial edge set already contains a cycle")
-    parent = list(range(g.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    b = bits
-    while b:
-        lsb = b & -b
-        b ^= lsb
-        u, v = g.edges[lsb.bit_length() - 1]
-        parent[find(u)] = find(v)
     for i, (u, v) in enumerate(g.edges):
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
             bits |= 1 << i
@@ -288,7 +274,7 @@ def brute_force_maximal_forests(g) -> list:
     want = g.vertex_count - len(components(g))
     found = []
     for bits in range(1 << m):
-        if bits.bit_count() == want and not _has_cycle(g, bits):
+        if bits.bit_count() == want and _forest_parents(g, bits) is not None:
             found.append(bits)
     found.sort(key=lambda b: tuple(i for i in range(m) if b >> i & 1))
     return [MaximalForest(g, EdgeSubset(g, b)) for b in found]

@@ -275,7 +275,7 @@ def blocks(g) -> list:
     out = []
     timer = 0
     for root in range(n):
-        if disc[root] != -1:
+        if disc[root] != -1 or not g.incident(root):
             continue
         disc[root] = low[root] = timer
         timer += 1

@@ -3,8 +3,10 @@
 Nothing here shares algorithms with the package: spanning trees are counted
 by deletion-contraction on multigraphs, cycles come from vertex-sequence
 brute force, blocks come from merging edges that share a cycle, isomorphism
-tries every permutation, cliques come from subset scans, and unlabeled-graph
-counts come from the orbit-counting lemma.
+tries every permutation, cliques come from subset scans, unlabeled-graph
+counts come from the orbit-counting lemma, and forest-graph adjacency comes
+from one bucket join over the whole forest family, not from the product of
+the blocks' forest graphs.
 """
 
 from __future__ import annotations
@@ -113,6 +115,28 @@ def brute_force_blocks(g) -> set:
         classes -= touching
         classes.add(frozenset().union(*touching))
     return classes
+
+
+def bucket_join_edges(family_bits) -> tuple:
+    """Sorted index pairs of the forests one exchange apart.
+
+    Each forest goes into one bucket per member edge, keyed by its edge set
+    minus that edge; two forests share a bucket exactly when they differ in
+    one edge each way, and every such pair meets in exactly one bucket.
+    """
+    buckets = {}
+    for i, bits in enumerate(family_bits):
+        b = bits
+        while b:
+            lsb = b & -b
+            b ^= lsb
+            buckets.setdefault(bits ^ lsb, []).append(i)
+    edges = []
+    for group in buckets.values():
+        for a in range(len(group) - 1):
+            for b in range(a + 1, len(group)):
+                edges.append((group[a], group[b]))
+    return tuple(sorted(edges))
 
 
 def bfs_distances(g, src) -> list:

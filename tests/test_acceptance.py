@@ -128,6 +128,23 @@ def test_classify_scales_with_blocks():
         assert [t.vertices for t in verdict.witness] == [(0, 1, 2), (2, 3, 4)]
 
 
+def test_counts_multiply_over_blocks():
+    triangles = Graph(2001, [e for i in range(0, 2000, 2)
+                             for e in ((i, i + 1), (i, i + 2), (i + 1, i + 2))])
+    with criterion("count a chain of 1000 triangles: 3^1000", 1.0):
+        assert count_maximal_forests(triangles) == 3 ** 1000
+    k4s = Graph(601, [(3 * i + a, 3 * i + b) for i in range(200)
+                      for a in range(4) for b in range(a + 1, 4)])
+    with criterion("count a chain of 200 K_4 blocks: 16^200", 1.0):
+        assert count_maximal_forests(k4s) == 16 ** 200
+
+
+def test_count_at_the_header_cap():
+    g = Graph(10 ** 6, [(0, 1)])
+    with criterion("count one edge among 10^6 vertices", 1.0):
+        assert count_maximal_forests(g) == 1
+
+
 def test_stable_graphs_are_k1_and_k3():
     with criterion("K_1 and K_3 are the only stable graphs to 5 vertices",
                    60.0):

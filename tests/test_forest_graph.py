@@ -1,17 +1,19 @@
 """Forest graph construction, the exchange metric, and constructive paths."""
 
 import itertools
+import random
 
 import pytest
 
 from forestgraph import (Graph, GraphInputError, MaximalForest,
-                         build_forest_graph, bridges, cartesian_product,
-                         complete_graph, components, cycle_graph,
+                         brute_force_maximal_forests, build_forest_graph,
+                         bridges, cartesian_product, complete_graph,
+                         components, count_maximal_forests, cycle_graph,
                          enumerate_graphs, exchange_path,
                          finite_connectivity_check, forest_distance,
                          is_isomorphic, maximal_forests, path_graph)
 
-from .oracles import bfs_distances
+from .oracles import bfs_distances, bucket_join_edges, dc_spanning_trees
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -67,6 +69,74 @@ class TestConstruction:
                 continue
             assert min(fg.graph.degree(v) for v in range(fg.graph.vertex_count)) >= 2
             assert not bridges(fg.graph)
+
+
+BLOCK_SHAPES = (complete_graph(3), cycle_graph(4), cycle_graph(5), complete_graph(4))
+GLUED_EDGE_CAP = 14
+
+
+def glued_block_graph(rng):
+    """K_3, C_4, C_5 and K_4 blocks glued at cut vertices or hung from
+    bridges, over one to three components, with shuffled vertex labels.
+
+    Blocks are added while they fit under GLUED_EDGE_CAP edges, which keeps
+    the brute-force subset scan small.
+    """
+    comps = [[v] for v in range(rng.randint(1, 3))]
+    n = len(comps)
+    edges = []
+    for _ in range(rng.randint(1, 3)):
+        block = rng.choice(BLOCK_SHAPES)
+        bridge = rng.random() < 0.4
+        if len(edges) + len(block.edges) + bridge > GLUED_EDGE_CAP:
+            break
+        comp = rng.choice(comps)
+        anchor = rng.choice(comp)
+        if bridge:
+            edges.append((anchor, n))
+            comp.append(n)
+            anchor = n
+            n += 1
+        names = [anchor] + list(range(n, n + block.vertex_count - 1))
+        n += block.vertex_count - 1
+        comp.extend(names[1:])
+        edges.extend((names[u], names[v]) for u, v in block.edges)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def product_corpus():
+    rng = random.Random(4)
+    return small_corpus(5) + [glued_block_graph(rng) for _ in range(40)]
+
+
+class TestBlockProduct:
+    """F(G) as the product of the blocks' forest graphs, against oracles
+    that never split G into blocks."""
+
+    def test_seeded_graphs_have_several_blocks(self):
+        glued = product_corpus()[len(small_corpus(5)):]
+        assert max(len(components(g)) for g in glued) == 3
+        assert sum(count_maximal_forests(g) > 16 for g in glued) >= 10
+
+    def test_edges_match_whole_family_bucket_join(self):
+        for g in product_corpus():
+            fg = build_forest_graph(g)
+            assert fg.graph.edges == bucket_join_edges([f.bits for f in fg.family]), g
+
+    def test_family_matches_brute_force_in_order(self):
+        for g in product_corpus():
+            assert list(maximal_forests(g)) == brute_force_maximal_forests(g), g
+
+    def test_count_matches_deletion_contraction(self):
+        for g in product_corpus():
+            want = 1
+            for comp in components(g):
+                relabel = {v: i for i, v in enumerate(comp)}
+                want *= dc_spanning_trees(len(comp), [(relabel[u], relabel[v])
+                                                      for u, v in g.edges if u in relabel])
+            assert count_maximal_forests(g) == want, g
 
 
 class TestMetric:
