@@ -18,7 +18,7 @@ from .forest_graph import (ConnectivityReport, ForestGraph, build_forest_graph,
 from .forests import (ForestFamily, MaximalForest, brute_force_maximal_forests,
                       count_maximal_forests, extend_to_maximal, maximal_forests)
 from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
-                     blocks, bridges, canonical_form, cartesian_product,
+                     blocks, bridges, cartesian_product,
                      complete_graph, components, cycle_graph, cyclomatic_number,
                      find_isomorphism, hamiltonian_cycle, is_bipartite,
                      is_isomorphic, max_clique, path_graph, unique_cycle)
@@ -37,9 +37,8 @@ __all__ = [
     "GraphInputError", "GrowthReport", "GrowthStep", "MaximalForest",
     "NoRootCertificate", "ParseError", "RootChainCertificate",
     "RootSearchResult", "Verdict", "WhitneyResult", "blocks", "bridges",
-    "brute_force_maximal_forests", "build_forest_graph", "canonical_form",
-    "cartesian_product", "classify",
-    "clique_witness_from_complete", "clique_witness_from_cycle",
+    "brute_force_maximal_forests", "build_forest_graph", "cartesian_product",
+    "classify", "clique_witness_from_complete", "clique_witness_from_cycle",
     "clique_witness_from_two_triangles", "complete_graph", "components",
     "count_maximal_forests", "cycle_graph", "cyclomatic_number",
     "depth_lower_bound", "enumerate_graphs",

@@ -199,9 +199,11 @@ def cmd_stable(args) -> int:
 
 def cmd_roots(args) -> int:
     g = _read_graph(args.input)
-    result = find_roots(g, args.max_vertices, args.max_edges, args.budget)
     report = depth_lower_bound(g, args.max_vertices, args.max_edges,
                                args.max_depth, args.budget)
+    result = report.search
+    if result is None:
+        result = find_roots(g, args.max_vertices, args.max_edges, args.budget)
     if args.format == "structured":
         print(f"roots={len(result.roots)}")
         for root in result.roots:

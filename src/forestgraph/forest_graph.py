@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .forests import FOREST_BUDGET, MaximalForest, maximal_forests
+from .forests import (FOREST_BUDGET, MaximalForest, _find, _forest_parents,
+                      maximal_forests)
 from .graphs import EdgeSubset, Graph, GraphInputError, blocks
 
 
@@ -121,16 +122,15 @@ def exchange_path(g, f1, f2) -> list:
         extra = current & ~target
         eid = (extra & -extra).bit_length() - 1
         cut = current ^ (1 << eid)
-        u, v = g.edges[eid]
-        side_u = _component_of(g, cut, u)
-        side_v = _component_of(g, cut, v)
-        missing = target & ~current
-        b = missing
+        # every other tree of cut spans a whole component of g, so an edge of
+        # f1 joining two trees of cut joins the two pieces
+        parent = _forest_parents(g, cut)
+        b = target & ~current
         while b:
             lsb = b & -b
             b ^= lsb
             x, y = g.edges[lsb.bit_length() - 1]
-            if (x in side_u and y in side_v) or (x in side_v and y in side_u):
+            if _find(parent, x) != _find(parent, y):
                 current = cut | lsb
                 break
         else:
@@ -138,27 +138,6 @@ def exchange_path(g, f1, f2) -> list:
         path.append(MaximalForest(g, EdgeSubset(g, current)))
     path.reverse()
     return path
-
-
-def _component_of(g, bits, start):
-    """Vertex set reachable from start using only the given edge bits."""
-    adj = {}
-    b = bits
-    while b:
-        lsb = b & -b
-        b ^= lsb
-        u, v = g.edges[lsb.bit_length() - 1]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
 
 
 ConnectivityReport = namedtuple("ConnectivityReport", "order connected diameter")

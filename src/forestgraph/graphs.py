@@ -134,35 +134,11 @@ class EdgeSubset:
             bits |= 1 << i
         return cls(host, bits)
 
-    @classmethod
-    def full(cls, host):
-        return cls(host, (1 << len(host.edges)) - 1)
-
     def ids(self):
         return tuple(i for i in range(len(self.host.edges)) if self.bits >> i & 1)
 
     def pairs(self):
         return tuple(self.host.edges[i] for i in self.ids())
-
-    def _need_same_host(self, other):
-        if self.host is not other.host and self.host != other.host:
-            raise GraphInputError("edge subsets live on different host graphs")
-
-    def __or__(self, other):
-        self._need_same_host(other)
-        return EdgeSubset(self.host, self.bits | other.bits)
-
-    def __and__(self, other):
-        self._need_same_host(other)
-        return EdgeSubset(self.host, self.bits & other.bits)
-
-    def __xor__(self, other):
-        self._need_same_host(other)
-        return EdgeSubset(self.host, self.bits ^ other.bits)
-
-    def __sub__(self, other):
-        self._need_same_host(other)
-        return EdgeSubset(self.host, self.bits & ~other.bits)
 
     def __contains__(self, eid):
         return 0 <= eid < len(self.host.edges) and self.bits >> eid & 1
@@ -598,11 +574,6 @@ def canonical_labeling(g):
 
     search([tuple(range(n))])
     return best[0], tuple(best[1][v] for v in range(n))
-
-
-def canonical_form(g):
-    """Canonical edge list: equal exactly for isomorphic graphs."""
-    return canonical_labeling(g)[0]
 
 
 def is_isomorphic(g, h) -> bool:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
-from .forests import FOREST_BUDGET, count_maximal_forests, maximal_forests
+from .forests import FOREST_BUDGET, _find, count_maximal_forests
 from .graphs import (BudgetError, Graph, GraphInputError, bridges, complete_graph,
                      components, find_isomorphism, is_bipartite, is_isomorphic)
 
@@ -53,11 +53,16 @@ class NoRootCertificate:
 
 @dataclass(frozen=True)
 class RootSearchResult:
-    """Roots found up to isomorphism, or a certificate explaining the empty list."""
+    """Roots found up to isomorphism, or a certificate explaining the empty list.
+
+    iso_maps[i] maps the vertices of F(roots[i]) (forest-family indices) onto
+    the searched graph; it is the map the search itself found.
+    """
 
     roots: tuple
     certificate: object = None
     searched_note: str = ""
+    iso_maps: tuple = ()
 
     def found(self):
         return bool(self.roots)
@@ -137,37 +142,57 @@ def enumerate_graphs(n) -> list:
     return out
 
 
+def _root_search(max_vertices, max_edges, budget):
+    """A root search for one query: calls share the enumerated candidates.
+
+    The connected isthmus-free candidates on n vertices, each with its forest
+    count, are enumerated on the first call that reaches n, so a pruned graph
+    enumerates nothing and a refusal at n stops before n + 1.
+    """
+    by_order = {}
+    note = (f"searched connected isthmus-free candidates on <= {max_vertices} vertices"
+            + (f" with <= {max_edges} edges" if max_edges is not None else ""))
+
+    def candidates(n):
+        if n not in by_order:
+            by_order[n] = [
+                (h, count_maximal_forests(h)) for h in enumerate_graphs(n)
+                if (max_edges is None or len(h.edges) <= max_edges)
+                and len(components(h)) == 1 and (n == 1 or not bridges(h))]
+        return by_order[n]
+
+    def search(g):
+        cert = no_root_prune(g)
+        if cert is not None:
+            return RootSearchResult((), cert)
+        roots = []
+        iso_maps = []
+        for n in range(1, max_vertices + 1):
+            for h, count in candidates(n):
+                if count != g.vertex_count:
+                    continue
+                mapping = find_isomorphism(build_forest_graph(h, budget).graph, g)
+                if mapping is not None:
+                    roots.append(h)
+                    iso_maps.append(mapping)
+        if roots:
+            return RootSearchResult(tuple(roots), None, note, tuple(iso_maps))
+        return RootSearchResult((), NoRootCertificate(REASON_EXHAUSTED, note=note), note)
+
+    return search
+
+
 def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
                budget=FOREST_BUDGET) -> RootSearchResult:
     """Search for all H (up to isomorphism) with F(H) isomorphic to g.
 
     Candidates are connected isthmus-free graphs on at most max_vertices
-    vertices, filtered by cheap bounds, then by exact forest count, then by a
-    full forest-graph construction plus isomorphism test.  An empty result
+    vertices (and at most max_edges edges when given), filtered by exact
+    forest count, then by a full forest-graph construction plus isomorphism
+    test; each root comes with its map from F(H) onto g.  An empty result
     carries either a proof-grade certificate or an exhausted-budget one.
     """
-    cert = no_root_prune(g)
-    if cert is not None:
-        return RootSearchResult((), cert)
-    target = g.vertex_count
-    roots = []
-    for n in range(1, max_vertices + 1):
-        for h in enumerate_graphs(n):
-            if max_edges is not None and len(h.edges) > max_edges:
-                continue
-            if len(components(h)) > 1:
-                continue
-            if n >= 2 and bridges(h):
-                continue
-            if count_maximal_forests(h) != target:
-                continue
-            if is_isomorphic(build_forest_graph(h, budget).graph, g):
-                roots.append(h)
-    note = (f"searched connected isthmus-free candidates on <= {max_vertices} vertices"
-            + (f" with <= {max_edges} edges" if max_edges is not None else ""))
-    if roots:
-        return RootSearchResult(tuple(roots), None, note)
-    return RootSearchResult((), NoRootCertificate(REASON_EXHAUSTED, note=note), note)
+    return _root_search(max_vertices, max_edges, budget)(g)
 
 
 @dataclass(frozen=True)
@@ -205,13 +230,16 @@ class DepthReport:
     kind is "stable" (g is K_1 or K_3: roots never run out), "pruned" (depth
     exactly 0, with the proof certificate), or "chain" (depth at least
     `depth`, with the chain certificate and the certificate that stopped it;
-    the stop is provable when its reason is proof-grade).
+    the stop is provable when its reason is proof-grade).  `search` is the
+    root search of g itself, the same result find_roots(g) gives with the
+    same budgets; it is None for a stable g, which is never searched.
     """
 
     kind: str
     depth: int = None
     chain: object = None
     stop: object = None
+    search: object = None
 
     @property
     def provable_stop(self):
@@ -220,15 +248,23 @@ class DepthReport:
 
 def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
                       max_depth=DEFAULT_DEPTH_LIMIT, budget=FOREST_BUDGET) -> DepthReport:
-    """Longest root chain below g found within the budgets."""
+    """Longest root chain below g found within the budgets.
+
+    One root search serves the whole query: every level of the chase reuses
+    the candidates enumerated for g, and the chain certificate takes its
+    isomorphisms from the search results.  At most max_depth roots are
+    chased below g.
+    """
     if is_isomorphic(g, complete_graph(1)) or is_isomorphic(g, complete_graph(3)):
         return DepthReport("stable")
-    cert = no_root_prune(g)
-    if cert is not None:
-        return DepthReport("pruned", depth=0, stop=cert)
+    search = _root_search(max_vertices, max_edges, budget)
+    top = search(g)
+    if top.certificate is not None and top.certificate.proof_grade:
+        return DepthReport("pruned", depth=0, stop=top.certificate, search=top)
 
-    def chase(graph, depth_left):
-        result = find_roots(graph, max_vertices, max_edges, budget)
+    def chase(graph, result, depth_left):
+        # the chain runs deepest root first, each root with its map from F(root)
+        # onto the graph above it
         if not result.found():
             return [], result.certificate
         if depth_left == 0:
@@ -236,33 +272,25 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None
                 REASON_EXHAUSTED, note=f"depth limit {max_depth} reached")
         best_chain = []
         best_stop = None
-        for h in result.roots:
+        for h, mapping in zip(result.roots, result.iso_maps):
             if is_isomorphic(h, graph):
                 continue  # stable graphs are handled above; avoid self-loops
-            chain, stop = chase(h, depth_left - 1)
+            chain, stop = chase(h, search(h), depth_left - 1)
             if len(chain) + 1 > len(best_chain):
-                best_chain = chain + [h]
+                best_chain = chain + [(h, mapping)]
                 best_stop = stop
         if not best_chain:
-            h = result.roots[0]
-            return [h], NoRootCertificate(
+            return [(result.roots[0], result.iso_maps[0])], NoRootCertificate(
                 REASON_EXHAUSTED, note="all further roots loop back")
         return best_chain, best_stop
 
-    chain, stop = chase(g, max_depth)
+    chain, stop = chase(g, top, max_depth)
     if not chain:
-        return DepthReport("chain", depth=0, chain=None, stop=stop)
-    graphs = list(chain) + [g]
-    iso_maps = []
-    for i in range(len(graphs) - 1):
-        fg = build_forest_graph(graphs[i], budget).graph
-        mapping = find_isomorphism(fg, graphs[i + 1])
-        if mapping is None:
-            raise AssertionError("root chain fails re-verification")
-        iso_maps.append(mapping)
+        return DepthReport("chain", depth=0, chain=None, stop=stop, search=top)
     return DepthReport("chain", depth=len(chain),
-                       chain=RootChainCertificate(tuple(graphs), tuple(iso_maps)),
-                       stop=stop)
+                       chain=RootChainCertificate(tuple(h for h, _ in chain) + (g,),
+                                                  tuple(m for _, m in chain)),
+                       stop=stop, search=top)
 
 
 @dataclass(frozen=True)
@@ -281,10 +309,10 @@ class WhitneyResult:
     edge_map: tuple
 
 
-def _finish(g, new_n, vmap, names=None):
+def _finish(g, new_n, pairs, vmap, names=None):
+    """The rewritten graph on new_n vertices: old edge i becomes pairs[i]."""
     edges = {}
-    for i, (u, v) in enumerate(g.edges):
-        a, b = vmap[u], vmap[v]
+    for i, (a, b) in enumerate(pairs):
         if a == b:
             raise GraphInputError("operation would create a loop")
         key = (a, b) if a < b else (b, a)
@@ -308,34 +336,27 @@ def whitney_identify(g, pairs) -> WhitneyResult:
         raise GraphInputError("need at least one pair to identify")
     comp = list(range(g.vertex_count))
     cluster = list(range(g.vertex_count))
-
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in g.edges:
-        comp[find(comp, u)] = find(comp, v)
+        comp[_find(comp, u)] = _find(comp, v)
     for a, b in pairs:
         if not (0 <= a < g.vertex_count and 0 <= b < g.vertex_count):
             raise GraphInputError(f"vertex pair ({a}, {b}) out of range")
-        ra, rb = find(comp, a), find(comp, b)
+        ra, rb = _find(comp, a), _find(comp, b)
         if ra == rb:
             raise GraphInputError(
                 f"vertices {a} and {b} are in the same component; identification "
                 "applies across components only")
         comp[ra] = rb
-        cluster[find(cluster, a)] = find(cluster, b)
+        cluster[_find(cluster, a)] = _find(cluster, b)
     rep = {}
     for v in range(g.vertex_count):
-        r = find(cluster, v)
+        r = _find(cluster, v)
         if r not in rep or v < rep[r]:
             rep[r] = v
     survivors = sorted(set(rep.values()))
     new_index = {v: i for i, v in enumerate(survivors)}
-    vmap = [new_index[rep[find(cluster, v)]] for v in range(g.vertex_count)]
-    return _finish(g, len(survivors), vmap)
+    vmap = [new_index[rep[_find(cluster, v)]] for v in range(g.vertex_count)]
+    return _finish(g, len(survivors), [(vmap[u], vmap[v]) for u, v in g.edges], vmap)
 
 
 def whitney_split(g, v, side) -> WhitneyResult:
@@ -360,21 +381,10 @@ def whitney_split(g, v, side) -> WhitneyResult:
     if not side & nb or nb <= side:
         raise GraphInputError(
             "side must separate the neighbors of v; v is not split by this choice")
-    vmap = list(range(g.vertex_count))
     new_v = g.vertex_count
-    edges = {}
-    for i, (a, b) in enumerate(g.edges):
-        if a == v and b in side:
-            a = new_v
-        elif b == v and a in side:
-            b = new_v
-        key = (a, b) if a < b else (b, a)
-        edges[key] = i
-    new_graph = Graph(g.vertex_count + 1, edges.keys())
-    edge_map = [0] * len(g.edges)
-    for key, old in edges.items():
-        edge_map[old] = new_graph.edge_index(*key)
-    return WhitneyResult(new_graph, tuple(vmap), tuple(edge_map))
+    pairs = [(new_v, b) if a == v and b in side else
+             (a, new_v) if b == v and a in side else (a, b) for a, b in g.edges]
+    return _finish(g, g.vertex_count + 1, pairs, range(g.vertex_count))
 
 
 def whitney_twist(g, u, v, side) -> WhitneyResult:
@@ -397,23 +407,7 @@ def whitney_twist(g, u, v, side) -> WhitneyResult:
         if (a in side and b in rest) or (a in rest and b in side):
             raise GraphInputError(
                 f"edge ({a}, {b}) crosses the separation; {{u, v}} is not a separation pair")
-    edges = {}
-    for i, (a, b) in enumerate(g.edges):
-        if a in side or b in side:
-            if a == u:
-                a = v
-            elif a == v:
-                a = u
-            if b == u:
-                b = v
-            elif b == v:
-                b = u
-        key = (a, b) if a < b else (b, a)
-        if key in edges:
-            raise GraphInputError("twist would create a parallel edge")
-        edges[key] = i
-    new_graph = Graph(g.vertex_count, edges.keys(), g.vertex_names)
-    edge_map = [0] * len(g.edges)
-    for key, old in edges.items():
-        edge_map[old] = new_graph.edge_index(*key)
-    return WhitneyResult(new_graph, tuple(range(g.vertex_count)), tuple(edge_map))
+    swap = {u: v, v: u}
+    pairs = [(swap.get(a, a), swap.get(b, b)) if a in side or b in side else (a, b)
+             for a, b in g.edges]
+    return _finish(g, g.vertex_count, pairs, range(g.vertex_count), g.vertex_names)

@@ -2,7 +2,8 @@
 
 Nothing here shares algorithms with the package: spanning trees are counted
 by deletion-contraction on multigraphs, cycles come from vertex-sequence
-brute force, blocks come from merging edges that share a cycle, isomorphism
+brute force, blocks come from merging edges that share a cycle, exchange
+paths test connectivity by walking the remaining edges, isomorphism
 tries every permutation, cliques come from subset scans, unlabeled-graph
 counts come from the orbit-counting lemma, and forest-graph adjacency comes
 from one bucket join over the whole forest family, not from the product of
@@ -152,6 +153,37 @@ def bfs_distances(g, src) -> list:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def brute_force_exchange_path(edges, f1_ids, f2_ids) -> list:
+    """Edge-id sets of the exchange walk from f1 to f2, built backwards.
+
+    From f2, drop the lowest edge outside f1, then add the lowest edge of f1
+    whose endpoints the remaining edges do not already connect (a walk over
+    the remaining edges decides that), until f1 is reached.
+    """
+    current = frozenset(f2_ids)
+    target = frozenset(f1_ids)
+    path = [current]
+    while current != target:
+        cut = current - {min(current - target)}
+        for e in sorted(target - current):
+            x, y = edges[e]
+            reached = {x}
+            stack = [x]
+            while stack:
+                a = stack.pop()
+                for c in cut:
+                    u, v = edges[c]
+                    b = v if u == a else u if v == a else None
+                    if b is not None and b not in reached:
+                        reached.add(b)
+                        stack.append(b)
+            if y not in reached:
+                current = cut | {e}
+                break
+        path.append(current)
+    return path[::-1]
 
 
 def unlabeled_graph_count(n) -> int:

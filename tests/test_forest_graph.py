@@ -13,7 +13,8 @@ from forestgraph import (Graph, GraphInputError, MaximalForest,
                          finite_connectivity_check, forest_distance,
                          is_isomorphic, maximal_forests, path_graph)
 
-from .oracles import bfs_distances, bucket_join_edges, dc_spanning_trees
+from .oracles import (bfs_distances, brute_force_exchange_path, bucket_join_edges,
+                      dc_spanning_trees)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -209,6 +210,15 @@ class TestExchangePath:
                         assert (a.bits ^ b.bits).bit_count() == 2
                     for f in walk:
                         assert isinstance(f, MaximalForest)
+
+    def test_matches_lowest_edge_reference(self):
+        for g in small_corpus(5):
+            family = maximal_forests(g)
+            for f1 in family:
+                for f2 in family:
+                    walk = [frozenset(f.edge_ids()) for f in exchange_path(g, f1, f2)]
+                    assert walk == brute_force_exchange_path(
+                        g.edges, f1.edge_ids(), f2.edge_ids()), (g, f1, f2)
 
     def test_deterministic(self):
         g = complete_graph(5)

@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from forestgraph import (Graph, ParseError, complete_graph, format_dot,
-                         format_edge_list, parse_dot, parse_edge_list,
-                         parse_graph)
+from forestgraph import (Graph, ParseError, build_forest_graph, complete_graph,
+                         cycle_graph, format_dot, format_edge_list, parse_dot,
+                         parse_edge_list, parse_graph, roots)
 from forestgraph.cli import main
 
 BOWTIE_TEXT = "0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
@@ -242,6 +242,61 @@ class TestCliGolden:
         second = run_cli(["classify", "-", "--format", "structured"],
                          BOWTIE_TEXT, capsys)
         assert first == second
+
+
+class TestCliRootSearch:
+    """Structured roots/depth goldens recorded before the chase reused one search."""
+
+    F_C5 = format_edge_list(build_forest_graph(cycle_graph(5)).graph)
+    F_BOWTIE = format_edge_list(build_forest_graph(parse_edge_list(BOWTIE_TEXT)).graph)
+
+    @pytest.mark.parametrize("text, cmd, want", [
+        (F_C5, "roots",
+         "roots=1\nroot=5:0-3,0-4,1-2,1-4,2-3\nkind=chain\ndepth=1\n"
+         "stop=exhausted-budget\nprovable=false\n"),
+        (F_C5, "depth",
+         "kind=chain\ndepth=1\nstop=exhausted-budget\nprovable=false\n"
+         "graph\nvertices 5\n0 3\n0 4\n1 2\n1 4\n2 3\nmap=0:0,1:1,2:2,3:3,4:4\n"
+         "graph\nvertices 5\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"),
+        (F_BOWTIE, "roots",
+         "roots=1\nroot=5:0-1,0-2,0-3,0-4,1-4,2-3\nkind=chain\ndepth=1\n"
+         "stop=exhausted-budget\nprovable=false\n"),
+        (F_BOWTIE, "depth",
+         "kind=chain\ndepth=1\nstop=exhausted-budget\nprovable=false\n"
+         "graph\nvertices 5\n0 1\n0 2\n0 3\n0 4\n1 4\n2 3\n"
+         "map=0:0,1:1,2:3,3:5,4:4,5:6,6:2,7:7,8:8\n"
+         "graph\nvertices 9\n0 1\n0 2\n0 3\n0 6\n1 2\n1 4\n1 7\n2 5\n2 8\n"
+         "3 6\n3 4\n3 5\n6 7\n6 8\n4 7\n4 5\n7 8\n5 8\n"),
+    ])
+    def test_structured_goldens(self, capsys, text, cmd, want):
+        code, out, err = run_cli([cmd, "-", "--format", "structured"], text, capsys)
+        assert (code, out, err) == (0, want, "")
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        """The vertex counts passed to enumerate_graphs, call by call."""
+        seen = []
+        enumerate_graphs = roots.enumerate_graphs
+
+        def counting(n):
+            seen.append(n)
+            return enumerate_graphs(n)
+
+        monkeypatch.setattr(roots, "enumerate_graphs", counting)
+        return seen
+
+    @pytest.mark.parametrize("cmd", ["roots", "depth"])
+    def test_one_enumeration_per_order(self, capsys, orders, cmd):
+        code, _, _ = run_cli([cmd, "-"], self.F_C5, capsys)
+        assert code == 0 and orders == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("cmd", ["roots", "depth"])
+    def test_f_k4_refused_before_five_vertices(self, capsys, orders, cmd):
+        fk4 = format_edge_list(build_forest_graph(complete_graph(4)).graph)
+        code, out, err = run_cli([cmd, "-"], fk4, capsys)
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: canonical labeling limited to 12 vertices (got 16)\n"
+        assert orders == [1, 2, 3, 4]
 
 
 class TestCliErrors:

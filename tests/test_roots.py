@@ -6,7 +6,7 @@ from forestgraph import (BudgetError, Graph, GraphInputError,
                          build_forest_graph, complete_graph, components,
                          cycle_graph, depth_lower_bound, enumerate_graphs,
                          find_roots, is_isomorphic, maximal_forests,
-                         no_root_prune, path_graph, whitney_identify,
+                         no_root_prune, path_graph, roots, whitney_identify,
                          whitney_split, whitney_twist)
 from forestgraph.checks import whitney_invariance_trials
 from forestgraph.roots import (REASON_BIPARTITE, REASON_DISCONNECTED,
@@ -94,6 +94,15 @@ class TestFindRoots:
         assert not result.found()
         assert result.certificate.reason == REASON_BIPARTITE
 
+    def test_iso_maps_carry_f_of_each_root_onto_g(self):
+        g = build_forest_graph(BOWTIE).graph
+        result = find_roots(g)
+        assert result.found() and len(result.iso_maps) == len(result.roots)
+        for h, mapping in zip(result.roots, result.iso_maps):
+            fg = build_forest_graph(h).graph
+            assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in fg.edges) \
+                == sorted(g.edges)
+
     def test_max_edges_filter(self):
         result = find_roots(complete_graph(4), max_edges=3)
         assert not result.found()
@@ -119,6 +128,16 @@ class TestDepth:
         report = depth_lower_bound(cycle_graph(4))
         assert report.kind == "pruned" and report.depth == 0
         assert report.stop.reason == REASON_BIPARTITE
+
+    def test_stable_graphs_search_nothing(self, monkeypatch):
+        monkeypatch.setattr(roots, "enumerate_graphs", None)
+        for g in (Graph(1, []), complete_graph(3)):
+            report = depth_lower_bound(g)
+            assert report.kind == "stable" and report.search is None
+
+    def test_report_carries_the_root_search(self):
+        for g in (complete_graph(4), complete_graph(5), cycle_graph(4)):
+            assert depth_lower_bound(g).search == find_roots(g)
 
     def test_chain_certificate_maps_check_edges(self):
         report = depth_lower_bound(complete_graph(4))
