@@ -83,46 +83,16 @@ def check_forest_graph_shape(max_n=5):
             if graphs.bridges(graph):
                 return CheckResult("forest-graph-shape", False, f"F({g!r}) has an isthmus")
         for i, forest in enumerate(fg.family):
-            expected = 0
-            for eid in range(len(g.edges)):
-                if eid in forest.edges:
-                    continue
-                # every non-forest edge closes exactly one cycle with the forest
-                ring = _fundamental_cycle_length(g, forest.bits, eid)
-                expected += ring - 1
+            tree = graphs.Graph(g.vertex_count, [g.edges[eid] for eid in forest.edge_ids()])
+            # every non-forest edge closes exactly one cycle with the forest,
+            # one edge longer than the forest path between its ends
+            expected = sum(forest_graph._bfs(tree, u)[v]
+                           for eid, (u, v) in enumerate(g.edges) if eid not in forest.edges)
             if graph.degree(i) != expected:
                 return CheckResult("forest-graph-shape", False,
                                    f"degree formula fails on {g!r} forest {i}")
         tried += 1
     return CheckResult("forest-graph-shape", True, f"{tried} graphs")
-
-
-def _fundamental_cycle_length(g, bits, eid):
-    u, v = g.edges[eid]
-    parent = {u: None}
-    queue = [u]
-    qi = 0
-    adj = {}
-    b = bits
-    while b:
-        lsb = b & -b
-        b ^= lsb
-        x, y = g.edges[lsb.bit_length() - 1]
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in adj.get(x, ()):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    length = 1
-    x = v
-    while x != u:
-        x = parent[x]
-        length += 1
-    return length
 
 
 def divergence_growth_evidence(g, fg, exact_cap=EXACT_GROWTH_CAP):
@@ -227,6 +197,31 @@ def check_root_exclusions():
         return CheckResult("no-root-exclusions", False,
                            f"roots of K_4: {result.roots}")
     return CheckResult("no-root-exclusions", True, "4 prunes + K_4 root search")
+
+
+def check_exact_depth():
+    """Depths settled by the degree bound match their hand derivations.
+
+    K_5 = F(C_5) and F(bowtie) have depth exactly 1: C_5 and the bowtie have
+    minimum degree 2, so their roots would have at most 3 vertices, and no
+    such graph has 5 forests.  K_5 - e has minimum degree 3, so its roots
+    would be K_1, K_3 or C_4, none with 5 forests: depth 0.
+    """
+    bowtie = graphs.Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    k5_minus_edge = graphs.Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
+                                     if (u, v) != (3, 4)])
+    cases = [("K_5", graphs.complete_graph(5), "chain", 1),
+             ("F(bowtie)", forest_graph.build_forest_graph(bowtie).graph, "chain", 1),
+             ("K_5 - e", k5_minus_edge, "pruned", 0)]
+    for name, g, kind, depth in cases:
+        report = roots.depth_lower_bound(g)
+        ok = (report.kind == kind and report.depth == depth
+              and report.stop.reason == roots.REASON_DEGREE_BOUND
+              and (report.chain is None or report.chain.verify()))
+        if not ok:
+            return CheckResult("exact-depth", False,
+                               f"{name}: {report.kind} depth {report.depth}, stop {report.stop}")
+    return CheckResult("exact-depth", True, "K_5, F(bowtie) depth 1; K_5 - e depth 0")
 
 
 def whitney_invariance_trials(count=100, seed=0):
@@ -336,6 +331,7 @@ def run_all(max_n=5, seed=0, budget=forests.FOREST_BUDGET, whitney_count=100):
         check_convergence(max_n, budget),
         check_stability(max_n),
         check_root_exclusions(),
+        check_exact_depth(),
         check_whitney_invariance(whitney_count, seed),
         check_cycle_clique(),
         check_clique_path_swap(),

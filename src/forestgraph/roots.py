@@ -3,7 +3,12 @@
 A forest graph of a finite graph is always connected, has no isthmus or
 isolated vertex unless it is a single vertex, and contains a triangle unless
 it is a single vertex.  Those necessary conditions give proof-grade "no root"
-certificates; everything else is bounded search over small candidate graphs.
+certificates; everything else is search over small candidate graphs.  The
+search is bounded by the minimum degree: a spanning tree T of a connected
+isthmus-free H with rank r and corank k has degree sum_{f not in T}
+(|C_T(f)| - 1) >= max(r, 2k) in F(H), so every root of a graph g with
+minimum degree d has at most d + 1 vertices and corank at most d // 2.  A
+search that covered that whole bound and found nothing is a proof.
 Whitney moves (identification, splitting, twisting) change a graph without
 changing its maximal forests as edge sets, so roots are never unique when a
 move applies.
@@ -27,10 +32,11 @@ REASON_BIPARTITE = "bipartite"
 REASON_ISTHMUS_OR_ISOLATED = "isthmus-or-isolated"
 REASON_DISCONNECTED = "disconnected"
 REASON_ORDER_MISMATCH = "order-mismatch"
+REASON_DEGREE_BOUND = "degree-bound"
 REASON_EXHAUSTED = "exhausted-budget"
 
 PROOF_REASONS = (REASON_BIPARTITE, REASON_ISTHMUS_OR_ISOLATED,
-                 REASON_DISCONNECTED, REASON_ORDER_MISMATCH)
+                 REASON_DISCONNECTED, REASON_ORDER_MISMATCH, REASON_DEGREE_BOUND)
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,8 @@ class NoRootCertificate:
 
     Every reason except "exhausted-budget" is proof-grade.  The witness holds
     the structure backing the reason: a 2-coloring, an isthmus edge or
-    isolated vertex, or the component partition.
+    isolated vertex, the component partition, or a vertex of minimum degree
+    with that degree, which bounds the searched candidates.
     """
 
     reason: str
@@ -147,11 +154,10 @@ def _root_search(max_vertices, max_edges, budget):
 
     The connected isthmus-free candidates on n vertices, each with its forest
     count, are enumerated on the first call that reaches n, so a pruned graph
-    enumerates nothing and a refusal at n stops before n + 1.
+    enumerates nothing and a refusal at n stops before n + 1.  Each call scans
+    only the orders and coranks its graph's minimum degree allows.
     """
     by_order = {}
-    note = (f"searched connected isthmus-free candidates on <= {max_vertices} vertices"
-            + (f" with <= {max_edges} edges" if max_edges is not None else ""))
 
     def candidates(n):
         if n not in by_order:
@@ -165,11 +171,18 @@ def _root_search(max_vertices, max_edges, budget):
         cert = no_root_prune(g)
         if cert is not None:
             return RootSearchResult((), cert)
+        low = min(range(g.vertex_count), key=g.degree)
+        degree = g.degree(low)
+        max_corank = degree // 2
+        top = min(max_vertices, degree + 1)
+        note = (f"searched connected isthmus-free candidates on <= {top} vertices"
+                f" with corank <= {max_corank}"
+                + (f" and <= {max_edges} edges" if max_edges is not None else ""))
         roots = []
         iso_maps = []
-        for n in range(1, max_vertices + 1):
+        for n in range(1, top + 1):
             for h, count in candidates(n):
-                if count != g.vertex_count:
+                if count != g.vertex_count or len(h.edges) - (n - 1) > max_corank:
                     continue
                 mapping = find_isomorphism(build_forest_graph(h, budget).graph, g)
                 if mapping is not None:
@@ -177,6 +190,10 @@ def _root_search(max_vertices, max_edges, budget):
                     iso_maps.append(mapping)
         if roots:
             return RootSearchResult(tuple(roots), None, note, tuple(iso_maps))
+        if max_vertices > degree and (max_edges is None or max_edges >= degree + max_corank):
+            return RootSearchResult((), NoRootCertificate(
+                REASON_DEGREE_BOUND, witness=("vertex", low, degree),
+                note=f"{note}, all that minimum degree {degree} allows"), note)
         return RootSearchResult((), NoRootCertificate(REASON_EXHAUSTED, note=note), note)
 
     return search
@@ -187,10 +204,13 @@ def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
     """Search for all H (up to isomorphism) with F(H) isomorphic to g.
 
     Candidates are connected isthmus-free graphs on at most max_vertices
-    vertices (and at most max_edges edges when given), filtered by exact
-    forest count, then by a full forest-graph construction plus isomorphism
-    test; each root comes with its map from F(H) onto g.  An empty result
-    carries either a proof-grade certificate or an exhausted-budget one.
+    vertices (and at most max_edges edges when given), within the degree
+    bound: at most d + 1 vertices and corank at most d // 2, where d is the
+    minimum degree of g.  They are filtered by exact forest count, then by a
+    full forest-graph construction plus isomorphism test; each root comes
+    with its map from F(H) onto g.  An empty result carries a proof-grade
+    certificate ("degree-bound" when the budgets covered the whole degree
+    bound) or an exhausted-budget one.
     """
     return _root_search(max_vertices, max_edges, budget)(g)
 

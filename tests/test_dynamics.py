@@ -11,8 +11,9 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
                          cycle_graph, enumerate_graphs, is_isomorphic, is_stable,
                          iterate_F, path_graph, unique_cycle,
                          verify_clique_growth)
-from forestgraph.dynamics import (CONVERGENT, DIVERGENT, WITNESS_LONG_CYCLE,
-                                  WITNESS_TWO_TRIANGLES, _long_cycle_from_tree)
+from forestgraph.dynamics import (CONVERGENT, DIVERGENT, GRID_CYCLE,
+                                  WITNESS_LONG_CYCLE, WITNESS_TWO_TRIANGLES,
+                                  _long_cycle_from_tree)
 from forestgraph.graphs import find_long_cycle
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -187,6 +188,19 @@ class TestCliqueWitnesses:
         assert witness.size == 9
         assert witness.grid_shape == (3, 3)
         assert witness.verify()
+
+    def test_two_triangles_grid_is_row_major(self):
+        # cell (r, c) drops the r-th edge of the first triangle and the c-th
+        # edge of the second, so the fixed 9-cycle walks grid neighbours
+        t1, t2 = classify(BOWTIE).witness
+        witness = clique_witness_from_two_triangles(BOWTIE, t1, t2)
+        for r, i in enumerate(sorted(t1.edge_ids)):
+            for c, j in enumerate(sorted(t2.edge_ids)):
+                dropped = (t1.edge_bits() | t2.edge_bits()) & ~witness.forests[3 * r + c].bits
+                assert dropped == (1 << i) | (1 << j)
+        assert sorted(GRID_CYCLE) == list(range(9))
+        for a, b in zip(GRID_CYCLE, GRID_CYCLE[1:] + GRID_CYCLE[:1]):
+            assert (a // 3 == b // 3) != (a % 3 == b % 3)
 
     def test_two_triangles_rejects_shared_edge(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])

@@ -245,7 +245,13 @@ class TestCliGolden:
 
 
 class TestCliRootSearch:
-    """Structured roots/depth goldens recorded before the chase reused one search."""
+    """Structured roots/depth goldens recorded before the chase reused one search.
+
+    The stops were derived by hand.  The chains end on C_5 and on the bowtie,
+    both with 5 vertices and minimum degree 2, so a root of either has at most
+    3 vertices.  K_1 and K_3, the only connected isthmus-free graphs that
+    small, have 1 and 3 forests, not 5.
+    """
 
     F_C5 = format_edge_list(build_forest_graph(cycle_graph(5)).graph)
     F_BOWTIE = format_edge_list(build_forest_graph(parse_edge_list(BOWTIE_TEXT)).graph)
@@ -253,16 +259,16 @@ class TestCliRootSearch:
     @pytest.mark.parametrize("text, cmd, want", [
         (F_C5, "roots",
          "roots=1\nroot=5:0-3,0-4,1-2,1-4,2-3\nkind=chain\ndepth=1\n"
-         "stop=exhausted-budget\nprovable=false\n"),
+         "stop=degree-bound\nprovable=true\n"),
         (F_C5, "depth",
-         "kind=chain\ndepth=1\nstop=exhausted-budget\nprovable=false\n"
+         "kind=chain\ndepth=1\nstop=degree-bound\nprovable=true\n"
          "graph\nvertices 5\n0 3\n0 4\n1 2\n1 4\n2 3\nmap=0:0,1:1,2:2,3:3,4:4\n"
          "graph\nvertices 5\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"),
         (F_BOWTIE, "roots",
          "roots=1\nroot=5:0-1,0-2,0-3,0-4,1-4,2-3\nkind=chain\ndepth=1\n"
-         "stop=exhausted-budget\nprovable=false\n"),
+         "stop=degree-bound\nprovable=true\n"),
         (F_BOWTIE, "depth",
-         "kind=chain\ndepth=1\nstop=exhausted-budget\nprovable=false\n"
+         "kind=chain\ndepth=1\nstop=degree-bound\nprovable=true\n"
          "graph\nvertices 5\n0 1\n0 2\n0 3\n0 4\n1 4\n2 3\n"
          "map=0:0,1:1,2:3,3:5,4:4,5:6,6:2,7:7,8:8\n"
          "graph\nvertices 9\n0 1\n0 2\n0 3\n0 6\n1 2\n1 4\n1 7\n2 5\n2 8\n"
@@ -287,8 +293,9 @@ class TestCliRootSearch:
 
     @pytest.mark.parametrize("cmd", ["roots", "depth"])
     def test_one_enumeration_per_order(self, capsys, orders, cmd):
+        # K_5 has minimum degree 4, so no root has more than 5 vertices
         code, _, _ = run_cli([cmd, "-"], self.F_C5, capsys)
-        assert code == 0 and orders == [1, 2, 3, 4, 5, 6]
+        assert code == 0 and orders == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("cmd", ["roots", "depth"])
     def test_f_k4_refused_before_five_vertices(self, capsys, orders, cmd):
@@ -353,7 +360,7 @@ class TestCliVerify:
                                  capsys=capsys)
         assert code == 0 and err == ""
         lines = out.splitlines()
-        assert len(lines) == 10
+        assert len(lines) == 11
         assert all("pass" in line for line in lines)
 
     def test_structured(self, capsys):

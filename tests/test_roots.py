@@ -2,22 +2,24 @@
 
 import pytest
 
-from forestgraph import (BudgetError, Graph, GraphInputError,
-                         build_forest_graph, complete_graph, components,
+from forestgraph import (BudgetError, Graph, GraphInputError, bridges,
+                         brute_force_maximal_forests, build_forest_graph,
+                         complete_graph, components, count_maximal_forests,
                          cycle_graph, depth_lower_bound, enumerate_graphs,
                          find_roots, is_isomorphic, maximal_forests,
                          no_root_prune, path_graph, roots, whitney_identify,
                          whitney_split, whitney_twist)
 from forestgraph.checks import whitney_invariance_trials
-from forestgraph.roots import (REASON_BIPARTITE, REASON_DISCONNECTED,
-                               REASON_EXHAUSTED, REASON_ISTHMUS_OR_ISOLATED,
-                               REASON_ORDER_MISMATCH)
+from forestgraph.roots import (REASON_BIPARTITE, REASON_DEGREE_BOUND,
+                               REASON_DISCONNECTED, REASON_EXHAUSTED,
+                               REASON_ISTHMUS_OR_ISOLATED, REASON_ORDER_MISMATCH)
 
-from .oracles import unlabeled_graph_count
+from .oracles import bucket_join_edges, unlabeled_graph_count
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 TWO_TRIANGLES = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 K33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+K5_MINUS_EDGE = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)])
 
 
 class TestPrune:
@@ -81,13 +83,14 @@ class TestFindRoots:
             for root in find_roots(target).roots:
                 assert is_isomorphic(build_forest_graph(root).graph, target)
 
-    def test_k5_minus_edge_exhausted(self):
-        g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
-                      if (u, v) != (3, 4)])
-        result = find_roots(g)
+    def test_k5_minus_edge_degree_bound(self):
+        # minimum degree 3: a root has at most 4 vertices and corank at most 1,
+        # so it is K_1, K_3 or C_4, with 1, 3 and 4 forests; K_5 - e has 5 vertices
+        result = find_roots(K5_MINUS_EDGE)
         assert not result.found()
-        assert result.certificate.reason == REASON_EXHAUSTED
-        assert not result.certificate.proof_grade
+        assert result.certificate.reason == REASON_DEGREE_BOUND
+        assert result.certificate.proof_grade
+        assert result.certificate.witness == ("vertex", 3, 3)
 
     def test_pruned_graph_returns_certificate(self):
         result = find_roots(cycle_graph(4))
@@ -104,12 +107,85 @@ class TestFindRoots:
                 == sorted(g.edges)
 
     def test_max_edges_filter(self):
+        # K_4 has minimum degree 3, so the bound allows 4 edges: 3 is a budget
         result = find_roots(complete_graph(4), max_edges=3)
         assert not result.found()
         assert result.certificate.reason == REASON_EXHAUSTED
 
+    def test_vertex_budget_below_the_bound(self):
+        result = find_roots(K5_MINUS_EDGE, max_vertices=3)
+        assert result.certificate.reason == REASON_EXHAUSTED
+
+
+class TestDegreeBound:
+    """Every root H of g has |V(H)| <= d + 1 and corank <= d // 2, where d is
+    the minimum degree of g."""
+
+    def test_lemma_on_small_bridgeless_graphs(self):
+        # a spanning tree of H has degree >= max(rank, 2 * corank) in F(H);
+        # the degrees come from the oracle's bucket join over all edge subsets
+        tried = 0
+        for n in range(3, 7):
+            for h in enumerate_graphs(n):
+                if len(components(h)) != 1 or bridges(h):
+                    continue
+                family = [f.bits for f in brute_force_maximal_forests(h)]
+                degree = [0] * len(family)
+                for a, b in bucket_join_edges(family):
+                    degree[a] += 1
+                    degree[b] += 1
+                rank = n - 1
+                assert min(degree) >= max(rank, 2 * (len(h.edges) - rank)), h
+                tried += 1
+        assert tried == 75
+
+    def test_pruning_keeps_every_root(self):
+        # the bounded search against a plain filter over every candidate on
+        # <= 5 vertices, with no degree bound
+        candidates = [(h, count_maximal_forests(h)) for n in range(1, 6)
+                      for h in enumerate_graphs(n)
+                      if len(components(h)) == 1 and (n == 1 or not bridges(h))]
+        f_of = {}
+
+        def plain_roots(g):
+            found = []
+            for h, count in candidates:
+                if count != g.vertex_count:
+                    continue
+                if id(h) not in f_of:
+                    f_of[id(h)] = build_forest_graph(h).graph
+                if is_isomorphic(f_of[id(h)], g):
+                    found.append(h)
+            return found
+
+        def outcome(search, g):
+            try:
+                return [(h.vertex_count, h.edges) for h in search(g)]
+            except BudgetError:
+                return "refused"
+
+        targets = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+        targets += [build_forest_graph(g).graph for n in range(1, 5)
+                    for g in enumerate_graphs(n)]
+        for g in targets:
+            assert outcome(lambda x: find_roots(x, max_vertices=5).roots, g) \
+                == outcome(plain_roots, g), g
+
 
 class TestDepth:
+    def test_k5_depth_one_degree_bound(self):
+        # F(C_5) = K_5, and C_5 has no root on <= 3 vertices
+        report = depth_lower_bound(complete_graph(5))
+        assert report.kind == "chain" and report.depth == 1
+        assert report.stop.reason == REASON_DEGREE_BOUND and report.provable_stop
+        assert is_isomorphic(report.chain.graphs[0], cycle_graph(5))
+        assert report.chain.verify()
+
+    def test_k5_minus_edge_pruned(self):
+        report = depth_lower_bound(K5_MINUS_EDGE)
+        assert report.kind == "pruned" and report.depth == 0
+        assert report.stop.reason == REASON_DEGREE_BOUND
+
     def test_k4_depth_one_provable(self):
         report = depth_lower_bound(complete_graph(4))
         assert report.kind == "chain" and report.depth == 1
