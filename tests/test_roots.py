@@ -112,9 +112,12 @@ class TestFindRoots:
         assert not result.found()
         assert result.certificate.reason == REASON_EXHAUSTED
 
-    def test_vertex_budget_below_the_bound(self):
+    def test_k5_minus_edge_exhausted(self):
+        # the degree bound allows 4 vertices; a budget of 3 proves nothing
         result = find_roots(K5_MINUS_EDGE, max_vertices=3)
+        assert not result.found()
         assert result.certificate.reason == REASON_EXHAUSTED
+        assert not result.certificate.proof_grade
 
 
 class TestDegreeBound:
