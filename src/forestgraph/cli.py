@@ -21,7 +21,7 @@ from .forest_graph import build_forest_graph, exchange_path, forest_distance
 from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, maximal_forests
 from .graphs import (BudgetError, Graph, GraphInputError, complete_graph,
                      components, cycle_graph, path_graph)
-from .io import ParseError, format_dot, format_edge_list, parse_graph
+from .io import HEADER_VERTEX_LIMIT, ParseError, format_dot, format_edge_list, parse_graph
 from .roots import (DEFAULT_DEPTH_LIMIT, DEFAULT_ROOT_VERTEX_BUDGET,
                     depth_lower_bound, enumerate_graphs, find_roots,
                     whitney_identify, whitney_split, whitney_twist)
@@ -55,8 +55,11 @@ def _resolve_vertex(g, token) -> int:
         for v in range(g.vertex_count):
             if g.vertex_names[v] == token:
                 return v
-    if token.isdigit() and int(token) < g.vertex_count:
-        return int(token)
+    # int() refuses strings of over 4300 digits, so compare lengths first
+    digits = token.lstrip("0") or "0"
+    if (token.isdecimal() and len(digits) <= len(str(g.vertex_count))
+            and int(digits) < g.vertex_count):
+        return int(digits)
     raise GraphInputError(f"unknown vertex {token!r}")
 
 
@@ -337,6 +340,8 @@ def cmd_gen(args) -> int:
     else:
         if args.n is None:
             raise GraphInputError(f"gen {kind} needs a vertex count")
+        if kind != "all" and args.n > HEADER_VERTEX_LIMIT:
+            raise GraphInputError(f"gen {kind} takes at most {HEADER_VERTEX_LIMIT} vertices")
         if kind == "cycle":
             graphs_out = [cycle_graph(args.n)]
         elif kind == "complete":

@@ -299,9 +299,6 @@ class GrowthReport:
     graph: object
     steps: tuple
 
-    def final_size(self):
-        return self.steps[-1].size if self.steps else 0
-
     def all_verified(self):
         return all(s.verified for s in self.steps)
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .forests import (FOREST_BUDGET, MaximalForest, _find, _forest_parents,
-                      maximal_forests)
-from .graphs import EdgeSubset, Graph, GraphInputError, blocks
+from .forests import FOREST_BUDGET, _find, _forest_parents, _trusted_forest, maximal_forests
+from .graphs import Graph, GraphInputError, blocks
 
 
 class ForestGraph:
@@ -135,7 +134,7 @@ def exchange_path(g, f1, f2) -> list:
                 break
         else:
             raise AssertionError("no reconnecting edge found; inputs were not maximal forests")
-        path.append(MaximalForest(g, EdgeSubset(g, current)))
+        path.append(_trusted_forest(g, current))
     path.reverse()
     return path
 

@@ -17,22 +17,14 @@ BRUTE_FORCE_EDGE_LIMIT = 20
 
 
 class MaximalForest:
-    """A maximal spanning forest of a host graph, validated on construction.
-
-    `_rank`, the host's vertex count minus its component count, lets a caller
-    that builds many forests of one host compute it once.
-    """
+    """A maximal spanning forest of a host graph, validated on construction
+    (forests the package builds maximal come from `_trusted_forest`, unchecked)."""
 
     __slots__ = ("host", "edges")
 
-    def __init__(self, host, edges, *, _rank=None):
-        if isinstance(edges, EdgeSubset):
-            if edges.host is not host and edges.host != host:
-                raise GraphInputError("edge subset belongs to a different graph")
-            subset = EdgeSubset(host, edges.bits)
-        else:
-            subset = EdgeSubset.from_ids(host, edges)
-        want = host.vertex_count - len(components(host)) if _rank is None else _rank
+    def __init__(self, host, edges):
+        subset = _edge_subset(host, edges)
+        want = host.vertex_count - len(components(host))
         if len(subset) != want:
             raise GraphInputError(
                 f"not a maximal forest: {len(subset)} edges, expected {want}")
@@ -86,6 +78,23 @@ class ForestFamily:
 
     def __getitem__(self, i):
         return self.members[i]
+
+
+def _trusted_forest(host, bits) -> MaximalForest:
+    """A MaximalForest from bits already known to form one, unchecked."""
+    forest = MaximalForest.__new__(MaximalForest)
+    forest.host = host
+    forest.edges = EdgeSubset(host, bits)
+    return forest
+
+
+def _edge_subset(host, edges) -> EdgeSubset:
+    """`edges`, an EdgeSubset of host or a sequence of its edge ids, as a subset."""
+    if isinstance(edges, EdgeSubset):
+        if edges.host is not host and edges.host != host:
+            raise GraphInputError("edge subset belongs to a different graph")
+        return EdgeSubset(host, edges.bits)
+    return EdgeSubset.from_ids(host, edges)
 
 
 def _find(parent, x):
@@ -236,9 +245,7 @@ def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
         members = [bits | tree for bits in members for tree in trees]
     width = len(g.edges)
     members.sort(key=lambda bits: f"{bits:0{width}b}"[::-1], reverse=True)
-    rank = g.vertex_count - len(components(g))
-    family = ForestFamily(g, (MaximalForest(g, EdgeSubset(g, bits), _rank=rank)
-                              for bits in members))
+    family = ForestFamily(g, (_trusted_forest(g, bits) for bits in members))
     if len(family) != count:
         raise AssertionError(
             f"enumerated {len(family)} forests but the determinant says {count}")
@@ -247,12 +254,7 @@ def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
 
 def extend_to_maximal(g, partial) -> MaximalForest:
     """Grow an acyclic edge set to a maximal forest greedily in index order."""
-    if isinstance(partial, EdgeSubset):
-        bits = partial.bits
-        if partial.host is not g and partial.host != g:
-            raise GraphInputError("edge subset belongs to a different graph")
-    else:
-        bits = EdgeSubset.from_ids(g, partial).bits
+    bits = _edge_subset(g, partial).bits
     parent = _forest_parents(g, bits)
     if parent is None:
         raise GraphInputError("partial edge set already contains a cycle")
@@ -261,7 +263,7 @@ def extend_to_maximal(g, partial) -> MaximalForest:
         if ru != rv:
             parent[ru] = rv
             bits |= 1 << i
-    return MaximalForest(g, EdgeSubset(g, bits))
+    return _trusted_forest(g, bits)
 
 
 def brute_force_maximal_forests(g) -> list:

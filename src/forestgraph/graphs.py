@@ -9,6 +9,7 @@ indices.  All outputs are deterministic functions of the input graph.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import namedtuple
 
 CLIQUE_VERTEX_LIMIT = 200
@@ -37,34 +38,35 @@ class BudgetError(RuntimeError):
 class Graph:
     """Immutable simple undirected graph with an indexed edge list."""
 
-    __slots__ = ("vertex_count", "edges", "vertex_names", "_adj", "_edge_index")
+    __slots__ = ("vertex_count", "edges", "vertex_names", "_adj")
 
     def __init__(self, vertex_count, edges, vertex_names=None):
         if vertex_count < 0:
             raise GraphInputError("vertex_count must be non-negative")
-        norm = set()
+        norm = []
         for e in edges:
             u, v = e
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphInputError(f"edge {e!r} has an endpoint outside 0..{vertex_count - 1}")
             if u == v:
                 raise GraphInputError(f"loop edge at vertex {u} not allowed")
-            norm.add((u, v) if u < v else (v, u))
+            norm.append((u, v) if u < v else (v, u))
+        norm.sort()
         self.vertex_count = vertex_count
-        self.edges = tuple(sorted(norm))
+        self.edges = tuple(e for e, _ in itertools.groupby(norm))
         if vertex_names is not None:
             vertex_names = tuple(str(x) for x in vertex_names)
             if len(vertex_names) != vertex_count:
                 raise GraphInputError("vertex_names length must equal vertex_count")
         self.vertex_names = vertex_names
+        # the edge table is sorted, so each vertex meets its smaller neighbours
+        # first and in increasing order, then its larger ones: every list
+        # filled in edge order is already sorted by neighbour
         adj = [[] for _ in range(vertex_count)]
-        index = {}
         for i, (u, v) in enumerate(self.edges):
             adj[u].append((v, i))
             adj[v].append((u, i))
-            index[(u, v)] = i
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._edge_index = index
+        self._adj = tuple(map(tuple, adj))
 
     def incident(self, v):
         """Pairs (neighbor, edge index) at v, sorted by neighbor."""
@@ -78,13 +80,15 @@ class Graph:
 
     def edge_index(self, u, v):
         key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise GraphInputError(f"no edge {key} in graph") from None
+        i = bisect_left(self.edges, key)
+        if i == len(self.edges) or self.edges[i] != key:
+            raise GraphInputError(f"no edge {key} in graph")
+        return i
 
     def has_edge(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self._edge_index
+        key = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, key)
+        return i < len(self.edges) and self.edges[i] == key
 
     def name_of(self, v):
         return self.vertex_names[v] if self.vertex_names else str(v)
@@ -196,9 +200,6 @@ class Cycle:
         for i in self.edge_ids:
             bits |= 1 << i
         return bits
-
-    def edge_subset(self):
-        return EdgeSubset(self.host, self.edge_bits())
 
     def __eq__(self, other):
         return isinstance(other, Cycle) and self.vertices == other.vertices \

@@ -6,8 +6,8 @@ from forestgraph import (BudgetError, EdgeSubset, Graph, GraphInputError,
                          MaximalForest, brute_force_maximal_forests,
                          bridges, cartesian_product, complete_graph, components,
                          count_maximal_forests, cycle_graph, cyclomatic_number,
-                         enumerate_graphs, extend_to_maximal, maximal_forests,
-                         path_graph)
+                         enumerate_graphs, exchange_path, extend_to_maximal,
+                         maximal_forests, path_graph)
 
 from .oracles import dc_spanning_trees
 
@@ -165,6 +165,39 @@ class TestExtend:
     def test_deterministic_greedy(self):
         g = complete_graph(5)
         assert extend_to_maximal(g, ()).edge_ids() == (0, 1, 2, 3)
+
+
+class TestTrustedConstruction:
+    """Forests the package builds maximal by construction skip the checks;
+    each must still pass the validating constructor."""
+
+    def test_built_forests_pass_validation(self):
+        for g in small_corpus():
+            family = maximal_forests(g)
+            built = list(family)
+            for i in range(len(g.edges)):
+                built.append(extend_to_maximal(g, (i,)))
+            for f in family:
+                built.append(extend_to_maximal(g, f.edge_ids()[1:]))
+            for start in (family[0], family[len(family) - 1]):
+                for f in family:
+                    built += exchange_path(g, start, f)
+            for f in built:
+                assert f.host is g
+                assert MaximalForest(g, f.edges) == f
+
+    def test_no_validating_constructor_calls(self, monkeypatch):
+        def refuse(self, host, edges):
+            raise AssertionError("MaximalForest.__init__ called")
+
+        monkeypatch.setattr(MaximalForest, "__init__", refuse)
+        for g in (BOWTIE, complete_graph(4), TWO_TRIANGLES):
+            family = maximal_forests(g)
+            exchange_path(g, family[0], family[len(family) - 1])
+            extend_to_maximal(g, ())
+            extend_to_maximal(g, EdgeSubset(g, 1))
+        with pytest.raises(AssertionError):
+            MaximalForest(BOWTIE, (0, 1, 3, 4))
 
 
 class TestBruteForce:

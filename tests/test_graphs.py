@@ -1,11 +1,12 @@
 """Core graph type and algorithms against brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 
 from forestgraph import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
-                         blocks, bridges, cartesian_product,
+                         blocks, bridges, build_forest_graph, cartesian_product,
                          complete_graph, components, cycle_graph,
                          cyclomatic_number, enumerate_graphs, find_isomorphism,
                          hamiltonian_cycle, is_bipartite, is_isomorphic,
@@ -53,6 +54,47 @@ class TestGraph:
         g = Graph(2, [(0, 1)], vertex_names=["a", "b"])
         assert g.name_of(0) == "a" and g.name_of(1) == "b"
         assert Graph(2, [(0, 1)]).name_of(1) == "1"
+
+
+class TestConstructionOracle:
+    """Graph(...) on reordered and repeated edge lists against a set-and-sort
+    oracle, on every graph up to 5 vertices and on F of each."""
+
+    @staticmethod
+    def oracle(n, pairs):
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        ids = {e: i for i, e in enumerate(edges)}
+        adj = [[] for _ in range(n)]
+        for (u, v), i in ids.items():
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        return tuple(edges), [tuple(sorted(a)) for a in adj], ids
+
+    def test_matches_oracle(self):
+        rng = random.Random(7)
+        graphs = small_corpus()
+        graphs += [build_forest_graph(g).graph for g in graphs]
+        for g in graphs:
+            n = g.vertex_count
+            pairs = list(g.edges)
+            shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(shuffled)
+            reversed_pairs = [(v, u) for u, v in reversed(pairs)]
+            for edges in (shuffled, reversed_pairs, shuffled + reversed_pairs + pairs):
+                h = Graph(n, edges)
+                want_edges, want_adj, want_ids = self.oracle(n, edges)
+                assert h.edges == want_edges
+                assert [h.incident(v) for v in range(n)] == want_adj
+                # -1 and n sort before the first edge and after the last
+                for a in range(-1, n + 1):
+                    for b in range(-1, n + 1):
+                        key = (min(a, b), max(a, b))
+                        assert h.has_edge(a, b) == (key in want_ids)
+                        if key in want_ids:
+                            assert h.edge_index(a, b) == want_ids[key]
+                        else:
+                            with pytest.raises(GraphInputError):
+                                h.edge_index(a, b)
 
 
 class TestEdgeSubset:

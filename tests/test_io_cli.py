@@ -10,6 +10,7 @@ from forestgraph import (Graph, ParseError, build_forest_graph, complete_graph,
                          cycle_graph, format_dot, format_edge_list, parse_dot,
                          parse_edge_list, parse_graph, roots)
 from forestgraph.cli import main
+from forestgraph.io import HEADER_VERTEX_LIMIT
 
 BOWTIE_TEXT = "0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
 
@@ -352,6 +353,22 @@ class TestCliErrors:
         code, _, err = run_cli(["whitney", "-", "split", "9", "1"],
                                "0 1\n1 2\n0 2\n", capsys)
         assert code == 2 and "unknown vertex" in err
+
+
+    @pytest.mark.parametrize("args", [["split", "c", "\u00b2"], ["identify", "a:\u00b9"],
+                                      ["identify", "a:" + "9" * 5000]])
+    def test_non_ascii_or_huge_vertex_exit_2(self, capsys, args):
+        code, out, err = run_cli(["whitney", "-"] + args, "a b\nb c\nc a\n", capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown vertex")
+
+    @pytest.mark.parametrize("kind", ["cycle", "path", "complete"])
+    def test_gen_over_header_limit_exit_2_at_once(self, capsys, kind):
+        start = time.perf_counter()
+        code, out, err = run_cli(["gen", kind, str(HEADER_VERTEX_LIMIT + 1)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: gen {kind} takes at most {HEADER_VERTEX_LIMIT} vertices\n"
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCliVerify:
