@@ -50,7 +50,7 @@ def check_exchange_metric(max_n=5, budget=forests.FOREST_BUDGET):
     for g in _small_corpus(max_n):
         fg = forest_graph.build_forest_graph(g, budget)
         n = len(fg.family)
-        dist_rows = [forest_graph._bfs(fg.graph, i) for i in range(n)]
+        dist_rows = [graphs._distances(fg.graph, i) for i in range(n)]
         for i in range(n):
             for j in range(n):
                 want = forest_graph.forest_distance(fg.family[i], fg.family[j])
@@ -86,7 +86,7 @@ def check_forest_graph_shape(max_n=5):
             tree = graphs.Graph(g.vertex_count, [g.edges[eid] for eid in forest.edge_ids()])
             # every non-forest edge closes exactly one cycle with the forest,
             # one edge longer than the forest path between its ends
-            expected = sum(forest_graph._bfs(tree, u)[v]
+            expected = sum(graphs._distances(tree, u)[v]
                            for eid, (u, v) in enumerate(g.edges) if eid not in forest.edges)
             if graph.degree(i) != expected:
                 return CheckResult("forest-graph-shape", False,
@@ -117,7 +117,7 @@ def divergence_growth_evidence(g, fg, exact_cap=EXACT_GROWTH_CAP):
     return {"mode": "exact", "grew": c1 > c0, "count": c0, "next_count": c1}
 
 
-def divergence_bigger_clique(g, fg, budget=forests.FOREST_BUDGET):
+def divergence_bigger_clique(g, fg):
     """A verified clique witness in F^2(g) strictly larger than any clique of g."""
     omega = len(graphs.max_clique(g))
     ring = graphs.find_long_cycle(fg.graph, omega + 1)
@@ -154,7 +154,7 @@ def check_convergence(max_n=5, budget=forests.FOREST_BUDGET):
             if not evidence["grew"]:
                 return CheckResult("two-step-convergence", False,
                                    f"forest count fails to grow for {g!r}: {evidence}")
-            witness = divergence_bigger_clique(g, fg, budget)
+            witness = divergence_bigger_clique(g, fg)
             if witness is None:
                 return CheckResult("two-step-convergence", False,
                                    f"no clique growth witness for {g!r}")

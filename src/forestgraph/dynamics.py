@@ -2,11 +2,13 @@
 
 A finite graph converges under the forest-graph operator exactly when it is
 acyclic (limit K_1) or has precisely one cycle, of length 3 (limit K_3); it
-reaches the limit within two steps.  Everything else diverges, witnessed by a
-cycle of length at least 4 or by two edge-disjoint triangles, and cliques in
-the iterates then grow without bound.  The witness constructions below build
-the growing cliques explicitly as sets of pairwise-exchangeable forests, so a
-claim about F^k can be verified without ever materializing F^k itself.
+reaches the limit in at most one step, since such a graph has one maximal
+forest or three, pairwise one exchange apart.  Everything else diverges,
+witnessed by a cycle of length at least 4 or by two edge-disjoint triangles,
+and cliques in the iterates then grow without bound.  The witness
+constructions below build the growing cliques explicitly as sets of
+pairwise-exchangeable forests, so a claim about F^k can be verified without
+ever materializing F^k itself.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
 from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, extend_to_maximal
-from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError, blocks,
-                     complete_graph, cyclomatic_number, find_long_cycle,
-                     is_isomorphic, unique_cycle)
+from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError, _sole_cycle,
+                     blocks, find_long_cycle, is_isomorphic)
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -30,9 +31,9 @@ class Verdict:
     """Convergence verdict with the evidence that justifies it.
 
     For convergent graphs `limit` is "K1" or "K3" and `steps` counts the
-    iterates until the limit appears (0, 1 or 2, measured by isomorphism).
-    For divergent graphs the witness is either one cycle of length >= 4 or a
-    pair of edge-disjoint triangles.
+    iterates until the limit appears: 0 when g is the limit itself, else 1,
+    by the theorem.  For divergent graphs the witness is either one cycle of
+    length >= 4 or a pair of edge-disjoint triangles.
     """
 
     status: str
@@ -91,21 +92,24 @@ def iterate_F(g, n, budget=FOREST_BUDGET):
 def classify(g) -> Verdict:
     """Decide convergence and attach the limit or a divergence witness.
 
-    Past one cycle the blocks decide.  A block on four or more vertices holds
-    a cycle of length >= 4: searched for inside the large blocks through
-    their smallest vertex, it is the first one a depth-first search of g
-    meets.  Otherwise the first two triangle blocks are the witness.
+    One block pass decides.  With no block of two or more edges g is a
+    forest, limit K_1.  With one such block, a cycle, g has cyclomatic number
+    1: a triangle converges to K_3, a longer cycle is the divergence witness.
+    Past that, a block on four or more vertices holds a cycle of length >= 4:
+    searched for inside the large blocks through their smallest vertex, it is
+    the first one a depth-first search of g meets.  Otherwise the first two
+    triangle blocks are the witness.
     """
-    beta = cyclomatic_number(g)
-    if beta == 0:
-        return Verdict(CONVERGENT, limit="K1", steps=_steps_to_limit(g, complete_graph(1)))
-    if beta == 1:
-        cyc = unique_cycle(g)
+    big = [block for block in blocks(g) if len(block) > 1]
+    if not big:
+        return Verdict(CONVERGENT, limit="K1", steps=int(g.vertex_count != 1))
+    cyc = _sole_cycle(g, big)
+    if cyc is not None:
         if cyc.length == 3:
-            return Verdict(CONVERGENT, limit="K3", steps=_steps_to_limit(g, complete_graph(3)))
+            return Verdict(CONVERGENT, limit="K3",
+                           steps=int((g.vertex_count, len(g.edges)) != (3, 3)))
         return Verdict(DIVERGENT, witness_kind=WITNESS_LONG_CYCLE, witness=(cyc,))
-    spans = [sorted({x for eid in block for x in g.edges[eid]})
-             for block in blocks(g) if len(block) > 1]
+    spans = [sorted({x for eid in block for x in g.edges[eid]}) for block in big]
     large = [verts for verts in spans if len(verts) >= 4]
     if not large:
         first, second = sorted(spans)[:2]
@@ -153,15 +157,6 @@ def _long_cycle_from_tree(sub) -> Cycle:
     x = next(x for x in parent if depth[x] == 2)
     y = next(y for y in parent if depth[y] == 2 and y != x and parent[y] == parent[x])
     return Cycle(sub, (0, x, parent[x], y))
-
-
-def _steps_to_limit(g, limit_graph, budget=FOREST_BUDGET):
-    current = g
-    for step in range(3):
-        if is_isomorphic(current, limit_graph):
-            return step
-        current = build_forest_graph(current, budget).graph
-    raise AssertionError("convergent graph did not reach its limit in two steps")
 
 
 def is_stable(g, budget=FOREST_BUDGET) -> bool:

@@ -12,7 +12,7 @@ import itertools
 from collections import namedtuple
 
 from .forests import FOREST_BUDGET, _find, _forest_parents, _trusted_forest, maximal_forests
-from .graphs import Graph, GraphInputError, blocks
+from .graphs import Graph, GraphInputError, _distances, blocks
 
 
 class ForestGraph:
@@ -151,7 +151,7 @@ def finite_connectivity_check(g, budget=FOREST_BUDGET) -> ConnectivityReport:
     n = fg.graph.vertex_count
     diameter = 0
     for src in range(n):
-        dist = _bfs(fg.graph, src)
+        dist = _distances(fg.graph, src)
         if -1 in dist:
             return ConnectivityReport(n, False, None)
         far = max(dist)
@@ -159,17 +159,3 @@ def finite_connectivity_check(g, budget=FOREST_BUDGET) -> ConnectivityReport:
             diameter = far
     return ConnectivityReport(n, True, diameter)
 
-
-def _bfs(graph, src):
-    dist = [-1] * graph.vertex_count
-    dist[src] = 0
-    queue = [src]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w, _ in graph.incident(v):
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist

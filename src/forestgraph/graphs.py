@@ -212,24 +212,49 @@ class Cycle:
         return f"Cycle({'-'.join(map(str, self.vertices))})"
 
 
+def _bfs(g, sources, depth, parent):
+    """Breadth-first search from each source not reached yet, in order.
+
+    Fills depth (-1 until reached, 0 at each source) and parent (the
+    discovering vertex), and yields each vertex as it leaves the queue, so a
+    caller may stop early.  By then every vertex of its depth has been reached.
+    """
+    incident = g._adj
+    for root in sources:
+        if depth[root] != -1:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:
+            yield v
+            d = depth[v] + 1
+            for w, _ in incident[v]:
+                if depth[w] == -1:
+                    depth[w] = d
+                    parent[w] = v
+                    queue.append(w)
+
+
+def _distances(g, src):
+    """Breadth-first distances from src, -1 where unreachable."""
+    depth = [-1] * g.vertex_count
+    for _ in _bfs(g, (src,), depth, [-1] * g.vertex_count):
+        pass
+    return depth
+
+
 def components(g) -> list:
     """Vertex partition into connected components, each sorted, ordered by minimum."""
-    seen = [False] * g.vertex_count
+    depth = [-1] * g.vertex_count
     out = []
-    for root in range(g.vertex_count):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w, _ in g.incident(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
+    for v in _bfs(g, range(g.vertex_count), depth, [-1] * g.vertex_count):
+        if depth[v]:
+            comp.append(v)
+        else:
+            comp = [v]
+            out.append(comp)
+    for comp in out:
+        comp.sort()
     return out
 
 
@@ -297,18 +322,25 @@ def bridges(g) -> EdgeSubset:
 
 def unique_cycle(g):
     """The one cycle of a graph with cyclomatic number 1, else None."""
-    if cyclomatic_number(g) != 1:
+    return _sole_cycle(g, [block for block in blocks(g) if len(block) > 1])
+
+
+def _sole_cycle(g, big):
+    """The cycle of g when `big`, its blocks of two or more edges, is one
+    block with as many vertices as edges; else None."""
+    if len(big) != 1:
         return None
-    ring = next(block for block in blocks(g) if len(block) > 1)
-    # walk the cycle edges into vertex order
     adj = {}
-    for i in ring:
+    for i in big[0]:
         u, v = g.edges[i]
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    if len(adj) != len(big[0]):
+        return None
+    # walk the cycle edges into vertex order
     walk = [min(adj)]
     walk.append(adj[walk[0]][0])
-    while len(walk) < len(ring):
+    while len(walk) < len(adj):
         a, b = adj[walk[-1]]
         walk.append(b if a == walk[-2] else a)
     return Cycle(g, walk)
@@ -318,40 +350,21 @@ BipartiteReport = namedtuple("BipartiteReport", "bipartite coloring odd_cycle")
 
 
 def is_bipartite(g) -> BipartiteReport:
-    """Two-color the graph or exhibit an odd cycle."""
+    """Two-color the graph by breadth-first depth parity, or exhibit an odd
+    cycle closed by the first edge found joining two vertices of one depth."""
     n = g.vertex_count
-    color = [-1] * n
+    depth = [-1] * n
     parent = [-1] * n
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w, _ in g.incident(v):
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    # close the odd cycle: ancestor..v, then w climbing back up
-                    anc = []
-                    x = v
-                    while x != -1:
-                        anc.append(x)
-                        x = parent[x]
-                    pos = {x: i for i, x in enumerate(anc)}
-                    x = w
-                    side = []
-                    while x not in pos:
-                        side.append(x)
-                        x = parent[x]
-                    walk = anc[:pos[x] + 1][::-1] + side
-                    return BipartiteReport(False, None, Cycle(g, walk))
-    return BipartiteReport(True, tuple(color), None)
+    for v in _bfs(g, range(n), depth, parent):
+        for w, _ in g.incident(v):
+            if depth[w] == depth[v]:
+                # climb from both ends to their first common ancestor
+                left, right = [v], [w]
+                while left[-1] != right[-1]:
+                    left.append(parent[left[-1]])
+                    right.append(parent[right[-1]])
+                return BipartiteReport(False, None, Cycle(g, left[::-1] + right[:-1]))
+    return BipartiteReport(True, tuple(d & 1 for d in depth), None)
 
 
 def max_clique(g) -> tuple:

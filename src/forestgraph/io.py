@@ -3,12 +3,15 @@
 Edge-list input is one edge per line as two whitespace-separated vertex
 tokens; lines starting with '#' are ignored, and the first data line may be a
 header "vertices N" declaring extra isolated vertices.  Tokens map to dense
-indices in first-seen order and the names stick to the graph.  The DOT subset
-accepts `graph NAME? { a -- b; ... }` with attribute brackets ignored.
+indices in first-seen order and the names stick to the graph; a declared
+vertex i is named i unless a token already is, and then takes the smallest
+decimal name no token uses.  The DOT subset accepts `graph NAME? { a -- b;
+... }` with attribute brackets ignored.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .graphs import Graph
@@ -68,7 +71,18 @@ def parse_edge_list(text) -> Graph:
             raise ParseError(f"header declares {declared} vertices but "
                              f"{n} distinct tokens appear", 1, 1)
         n = declared
-    vertex_names = tuple(order) + tuple(str(i) for i in range(len(order), n))
+    # a declared vertex i is named str(i) unless a token took that name; it
+    # then takes the smallest decimal no token uses.  There are enough of
+    # those below len(order), where no declared vertex has its own name.
+    first = len(order)
+    extra = [str(i) for i in range(first, n)]
+    spare = (name for name in map(str, itertools.count()) if name not in names)
+    # int() after the length guard, as for the header
+    for i in sorted(int(tok) for tok in order
+                    if tok.isdecimal() and len(tok) <= len(str(n)) and str(int(tok)) == tok):
+        if first <= i < n:
+            extra[i - first] = next(spare)
+    vertex_names = tuple(order) + tuple(extra)
     return Graph(n, edges, vertex_names if n else None)
 
 

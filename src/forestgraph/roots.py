@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
 from .forests import FOREST_BUDGET, _find, count_maximal_forests
-from .graphs import (BudgetError, Graph, GraphInputError, bridges, complete_graph,
-                     components, find_isomorphism, is_bipartite, is_isomorphic)
+from .graphs import (BudgetError, Graph, GraphInputError, bridges, components,
+                     find_isomorphism, is_bipartite)
 
 GRAPH_ENUM_VERTEX_LIMIT = 7
 DEFAULT_ROOT_VERTEX_BUDGET = 6
@@ -275,16 +275,18 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None
     isomorphisms from the search results.  At most max_depth roots are
     chased below g.
     """
-    if is_isomorphic(g, complete_graph(1)) or is_isomorphic(g, complete_graph(3)):
-        return DepthReport("stable")
+    if (g.vertex_count, len(g.edges)) in ((1, 0), (3, 3)):
+        return DepthReport("stable")  # K_1 or K_3, the only stable graphs
     search = _root_search(max_vertices, max_edges, budget)
     top = search(g)
     if top.certificate is not None and top.certificate.proof_grade:
         return DepthReport("pruned", depth=0, stop=top.certificate, search=top)
 
-    def chase(graph, result, depth_left):
+    def chase(result, depth_left):
         # the chain runs deepest root first, each root with its map from F(root)
-        # onto the graph above it
+        # onto the graph above it.  No root is isomorphic to the graph above
+        # it, since F(graph) = F(root) = graph would make that graph stable,
+        # and g is not stable, nor is any root below it.
         if not result.found():
             return [], result.certificate
         if depth_left == 0:
@@ -293,18 +295,13 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None
         best_chain = []
         best_stop = None
         for h, mapping in zip(result.roots, result.iso_maps):
-            if is_isomorphic(h, graph):
-                continue  # stable graphs are handled above; avoid self-loops
-            chain, stop = chase(h, search(h), depth_left - 1)
+            chain, stop = chase(search(h), depth_left - 1)
             if len(chain) + 1 > len(best_chain):
                 best_chain = chain + [(h, mapping)]
                 best_stop = stop
-        if not best_chain:
-            return [(result.roots[0], result.iso_maps[0])], NoRootCertificate(
-                REASON_EXHAUSTED, note="all further roots loop back")
         return best_chain, best_stop
 
-    chain, stop = chase(g, top, max_depth)
+    chain, stop = chase(top, max_depth)
     if not chain:
         return DepthReport("chain", depth=0, chain=None, stop=stop, search=top)
     return DepthReport("chain", depth=len(chain),

@@ -3,11 +3,12 @@
 Nothing here shares algorithms with the package: spanning trees are counted
 by deletion-contraction on multigraphs, cycles come from vertex-sequence
 brute force, blocks come from merging edges that share a cycle, exchange
-paths test connectivity by walking the remaining edges, isomorphism
-tries every permutation, cliques come from subset scans, unlabeled-graph
-counts come from the orbit-counting lemma, and forest-graph adjacency comes
-from one bucket join over the whole forest family, not from the product of
-the blocks' forest graphs.
+paths test connectivity by walking the remaining edges, components and
+bipartiteness come from union-find (the latter on a doubled vertex set),
+isomorphism tries every permutation, cliques come from subset scans,
+unlabeled-graph counts come from the orbit-counting lemma, and forest-graph
+adjacency comes from one bucket join over the whole forest family, not from
+the product of the blocks' forest graphs.
 """
 
 from __future__ import annotations
@@ -50,6 +51,37 @@ def dc_spanning_trees(n, edges) -> int:
                for x in range(n)]
     contracted = [(relabel[a], relabel[b]) for a, b in edges[1:]]
     return deleted + dc_spanning_trees(n - 1, contracted)
+
+
+def _union_find(size, pairs):
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(size)]
+
+
+def union_find_components(g) -> list:
+    """Vertex classes of a union-find over the edges, sorted and ordered by minimum."""
+    groups = {}
+    for v, root in enumerate(_union_find(g.vertex_count, g.edges)):
+        groups.setdefault(root, []).append(v)
+    return sorted(groups.values())
+
+
+def union_find_bipartite(g) -> bool:
+    """Copy v + n stands for "v on the other side": each edge joins u to the
+    other side of v and v to the other side of u, and the graph is bipartite
+    exactly when no vertex ends up on its own other side."""
+    n = g.vertex_count
+    root = _union_find(2 * n, [p for u, v in g.edges for p in ((u, v + n), (v, u + n))])
+    return all(root[v] != root[v + n] for v in range(n))
 
 
 def brute_force_cycles(g) -> set:

@@ -3,6 +3,8 @@
 import pytest
 
 import itertools
+import random
+import time
 
 from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
                          build_forest_graph, classify,
@@ -14,7 +16,10 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
 from forestgraph.dynamics import (CONVERGENT, DIVERGENT, GRID_CYCLE,
                                   WITNESS_LONG_CYCLE, WITNESS_TWO_TRIANGLES,
                                   _long_cycle_from_tree)
+from forestgraph import dynamics, forest_graph, graphs, roots
 from forestgraph.graphs import find_long_cycle
+
+from .oracles import brute_force_cycles, brute_force_isomorphic
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
@@ -132,6 +137,72 @@ class TestClassify:
                     continue
                 fg = build_forest_graph(g)
                 assert count_maximal_forests(fg.graph) > len(fg.family), g
+
+
+def relabeled(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestClassifyByTheorem:
+    """classify reads its verdict off one block pass; these tests check it
+    against brute force and keep it from searching."""
+
+    def test_agrees_with_cycle_oracle(self):
+        rng = random.Random(8)
+        corpus = [h for n in range(1, 7) for g in enumerate_graphs(n)
+                  for h in (g, relabeled(g, rng))]
+        assert len(corpus) == 416
+        for g in corpus:
+            cycles = brute_force_cycles(g)
+            verdict = classify(g)
+            if not cycles or (len(cycles) == 1 and len(min(cycles)) == 3):
+                limit = complete_graph(1 if not cycles else 3)
+                assert verdict.status == CONVERGENT, g
+                assert verdict.limit == f"K{limit.vertex_count}", g
+                # the number of F applications that first gives the limit
+                current, steps = g, 0
+                while not brute_force_isomorphic(current, limit):
+                    current, steps = build_forest_graph(current).graph, steps + 1
+                    assert steps <= 2, g
+                assert verdict.steps == steps, g
+            else:
+                assert verdict.status == DIVERGENT, g
+                witness = [frozenset(c.edge_ids) for c in verdict.witness]
+                assert all(c.host is g for c in verdict.witness)
+                assert all(c in cycles for c in witness), g
+                if verdict.witness_kind == WITNESS_LONG_CYCLE:
+                    assert len(witness) == 1 and len(witness[0]) >= 4, g
+                else:
+                    assert verdict.witness_kind == WITNESS_TWO_TRIANGLES
+                    first, second = witness
+                    assert len(first) == len(second) == 3 and not first & second, g
+
+    def test_no_forest_graph_or_isomorphism(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("answered by search, not by the theorem")
+
+        for module, name in ((graphs, "find_isomorphism"), (graphs, "components"),
+                             (forest_graph, "build_forest_graph"),
+                             (dynamics, "build_forest_graph"),
+                             (roots, "build_forest_graph"), (roots, "find_isomorphism")):
+            monkeypatch.setattr(module, name, refuse)
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                classify(g)
+        assert roots.depth_lower_bound(Graph(1, [])).kind == "stable"
+        assert roots.depth_lower_bound(complete_graph(3)).kind == "stable"
+
+    @pytest.mark.parametrize("make", [lambda: Graph(10**6, [(0, 1)]),
+                                      lambda: path_graph(10**5)],
+                             ids=["one-edge-among-10^6", "path-10^5"])
+    def test_linear_time(self, make):
+        g = make()
+        start = time.perf_counter()
+        verdict = classify(g)
+        assert time.perf_counter() - start < 1
+        assert (verdict.status, verdict.limit, verdict.steps) == (CONVERGENT, "K1", 1)
 
 
 class TestStability:

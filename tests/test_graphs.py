@@ -15,7 +15,8 @@ from forestgraph.graphs import canonical_labeling, find_long_cycle
 
 from .oracles import (brute_force_blocks, brute_force_bridges,
                       brute_force_cycles, brute_force_isomorphic,
-                      brute_force_max_clique_size)
+                      brute_force_max_clique_size, union_find_bipartite,
+                      union_find_components)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -229,6 +230,33 @@ class TestBipartite:
                 assert report.odd_cycle.length % 2 == 1
                 for i in report.odd_cycle.edge_ids:
                     assert 0 <= i < len(g.edges)
+
+
+class TestOneBfs:
+    """components and is_bipartite share one breadth-first search; both are
+    checked against union-find on every graph on at most 6 vertices and on
+    F of every graph on at most 4."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return small_corpus(6) + [build_forest_graph(g).graph for g in small_corpus(4)]
+
+    def test_components_match_union_find(self, corpus):
+        for g in corpus:
+            assert components(g) == union_find_components(g), g
+
+    def test_coloring_or_odd_cycle(self, corpus):
+        for g in corpus:
+            report = is_bipartite(g)
+            assert report.bipartite == union_find_bipartite(g), g
+            if report.bipartite:
+                assert report.odd_cycle is None
+                assert len(report.coloring) == g.vertex_count
+                assert all(report.coloring[u] != report.coloring[v] for u, v in g.edges)
+            else:
+                # the Cycle constructor checked each edge of the walk in g
+                assert report.coloring is None
+                assert report.odd_cycle.host is g and report.odd_cycle.length % 2 == 1
 
 
 class TestMaxClique:

@@ -1,14 +1,15 @@
 """Parsers, formatters, and CLI golden outputs including every error path."""
 
 import io
+import random
 import sys
 import time
 
 import pytest
 
 from forestgraph import (Graph, ParseError, build_forest_graph, complete_graph,
-                         cycle_graph, format_dot, format_edge_list, parse_dot,
-                         parse_edge_list, parse_graph, roots)
+                         cycle_graph, enumerate_graphs, format_dot, format_edge_list,
+                         parse_dot, parse_edge_list, parse_graph, roots)
 from forestgraph.cli import main
 from forestgraph.io import HEADER_VERTEX_LIMIT
 
@@ -57,6 +58,39 @@ class TestEdgeListParse:
         assert g.vertex_names == ("z", "y", "x")
         # normalized edges still sort by index
         assert g.edges == ((0, 1), (0, 2))
+
+
+class TestHeaderNames:
+    """A vertex the header declares is named by its index unless a token
+    already has that name; it then takes the smallest decimal no token uses."""
+
+    def test_token_takes_the_index_name(self):
+        # vertex 3 is declared, but the token "3" already names vertex 0
+        assert parse_edge_list("vertices 4\n3 1\n").vertex_names == ("3", "1", "2", "0")
+
+    def test_smallest_free_decimal_in_order(self):
+        g = parse_edge_list("vertices 7\n6 0\n1 5\n")
+        assert g.vertex_names == ("6", "0", "1", "5", "4", "2", "3")
+
+    def test_iterate_zero_dot_names_each_vertex_once(self, capsys):
+        code, out, err = run_cli(["iterate", "-", "0", "--format", "dot"],
+                                 "vertices 4\n3 1\n", capsys)
+        assert (code, err) == (0, "")
+        assert out == 'graph {\n  "3";\n  "1";\n  "2";\n  "0";\n  "3" -- "1";\n}\n'
+        assert parse_dot(out).vertex_count == 4
+
+    def test_relabeled_corpus_dot_roundtrip(self):
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                text = format_edge_list(Graph(n, [(perm[u], perm[v]) for u, v in g.edges]))
+                h = parse_edge_list(text)
+                assert len(set(h.vertex_names)) == n, text
+                again = parse_dot(format_dot(h))
+                assert (again.vertex_count, again.edges, again.vertex_names) \
+                    == (n, h.edges, h.vertex_names), text
 
 
 class TestDotParse:
