@@ -13,6 +13,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import checks
@@ -21,7 +22,8 @@ from .forest_graph import build_forest_graph, exchange_path, forest_distance
 from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, maximal_forests
 from .graphs import (BudgetError, Graph, GraphInputError, complete_graph,
                      components, cycle_graph, path_graph)
-from .io import HEADER_VERTEX_LIMIT, ParseError, format_dot, format_edge_list, parse_graph
+from .io import (HEADER_VERTEX_LIMIT, ParseError, _decimal, format_dot, format_edge_list,
+                 parse_graph)
 from .roots import (DEFAULT_DEPTH_LIMIT, DEFAULT_ROOT_VERTEX_BUDGET,
                     depth_lower_bound, enumerate_graphs, find_roots,
                     whitney_identify, whitney_split, whitney_twist)
@@ -42,24 +44,19 @@ def _read_graph(path) -> Graph:
 
 
 def _parse_forest(g, spec) -> MaximalForest:
-    try:
-        ids = [int(tok) for tok in spec.split(",") if tok != ""]
-    except ValueError:
+    ids = [_decimal(tok.strip()) for tok in spec.split(",") if tok != ""]
+    if None in ids or math.inf in ids:
         raise GraphInputError(f"forest spec {spec!r} is not a comma-separated "
-                              "list of edge indices") from None
+                              "list of edge indices")
     return MaximalForest(g, ids)
 
 
-def _resolve_vertex(g, token) -> int:
-    if g.vertex_names:
-        for v in range(g.vertex_count):
-            if g.vertex_names[v] == token:
-                return v
-    # int() refuses strings of over 4300 digits, so compare lengths first
-    digits = token.lstrip("0") or "0"
-    if (token.isdecimal() and len(digits) <= len(str(g.vertex_count))
-            and int(digits) < g.vertex_count):
-        return int(digits)
+def _resolve_vertex(g, names, token) -> int:
+    if token in names:
+        return names[token]
+    v = _decimal(token)
+    if v is not None and v < g.vertex_count:
+        return v
     raise GraphInputError(f"unknown vertex {token!r}")
 
 
@@ -274,26 +271,30 @@ def cmd_depth(args) -> int:
 
 def cmd_whitney(args) -> int:
     g = _read_graph(args.input)
+    names = {}
+    for v, name in enumerate(g.vertex_names or ()):
+        names.setdefault(name, v)  # the first vertex wins a repeated name
+
     if args.operation == "identify":
         pairs = []
         for spec in args.args:
             left, sep, right = spec.partition(":")
             if not sep:
                 raise GraphInputError(f"identify takes vertex pairs as A:B, got {spec!r}")
-            pairs.append((_resolve_vertex(g, left), _resolve_vertex(g, right)))
+            pairs.append((_resolve_vertex(g, names, left), _resolve_vertex(g, names, right)))
         result = whitney_identify(g, pairs)
     elif args.operation == "split":
         if len(args.args) != 2:
             raise GraphInputError("split takes a vertex and a comma-separated side")
-        v = _resolve_vertex(g, args.args[0])
-        side = [_resolve_vertex(g, tok) for tok in args.args[1].split(",") if tok]
+        v = _resolve_vertex(g, names, args.args[0])
+        side = [_resolve_vertex(g, names, tok) for tok in args.args[1].split(",") if tok]
         result = whitney_split(g, v, side)
     elif args.operation == "twist":
         if len(args.args) != 3:
             raise GraphInputError("twist takes two vertices and a comma-separated side")
-        u = _resolve_vertex(g, args.args[0])
-        v = _resolve_vertex(g, args.args[1])
-        side = [_resolve_vertex(g, tok) for tok in args.args[2].split(",") if tok]
+        u = _resolve_vertex(g, names, args.args[0])
+        v = _resolve_vertex(g, names, args.args[1])
+        side = [_resolve_vertex(g, names, tok) for tok in args.args[2].split(",") if tok]
         result = whitney_twist(g, u, v, side)
     else:
         raise GraphInputError(f"unknown whitney operation {args.operation!r}")
@@ -436,10 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except GraphInputError as err:
+    except (ParseError, GraphInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BudgetError as err:

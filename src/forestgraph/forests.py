@@ -24,7 +24,8 @@ class MaximalForest:
 
     def __init__(self, host, edges):
         subset = _edge_subset(host, edges)
-        want = host.vertex_count - len(components(host))
+        # every maximal forest has the same size: the rank of host's cycle matroid
+        want = len(extend_to_maximal(host, ()).edges)
         if len(subset) != want:
             raise GraphInputError(
                 f"not a maximal forest: {len(subset)} edges, expected {want}")

@@ -12,6 +12,7 @@ decimal name no token uses.  The DOT subset accepts `graph NAME? { a -- b;
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 from .graphs import Graph
@@ -28,33 +29,43 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _decimal(token):
+    """`token` as an int if it is ASCII decimal digits, leading zeros allowed, else
+    None; a number too long for int() comes back as infinity, above every limit."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    digits = token.lstrip("0") or "0"
+    # int() refuses strings of over 4300 digits, so compare lengths first
+    return int(digits) if len(digits) <= 4300 else math.inf
+
+
+def _column(line, k):
+    """1-based column of the k-th whitespace-separated token of line."""
+    return [m.start() for m in re.finditer(r"\S+", line)][k] + 1
+
+
 def parse_edge_list(text) -> Graph:
     names = {}
     order = []
     edges = []
     declared = None
     saw_data = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         tokens = line.split()
         if not saw_data and len(tokens) == 2 and tokens[0] == "vertices":
-            column = line.index(tokens[1]) + 1
-            if not tokens[1].isdecimal():
-                raise ParseError(f"vertex count {tokens[1]!r} is not a number", lineno, column)
-            # int() refuses strings of over 4300 digits, so compare lengths first
-            count = tokens[1].lstrip("0") or "0"
-            if len(count) > len(str(HEADER_VERTEX_LIMIT)) or int(count) > HEADER_VERTEX_LIMIT:
-                raise ParseError(f"header declares more than {HEADER_VERTEX_LIMIT} vertices",
-                                 lineno, column)
-            declared = int(count)
+            declared = _decimal(tokens[1])
+            if declared is None or declared > HEADER_VERTEX_LIMIT:
+                raise ParseError(f"vertex count {tokens[1]!r} is not a number" if declared is None
+                                 else f"header declares more than {HEADER_VERTEX_LIMIT} vertices",
+                                 lineno, _column(line, 1))
             saw_data = True
             continue
         saw_data = True
         if len(tokens) != 2:
-            col = 1 if not tokens else line.index(tokens[2 if len(tokens) > 2 else 0]) + 1
-            raise ParseError(f"expected two vertex tokens, got {len(tokens)}", lineno, col)
+            raise ParseError(f"expected two vertex tokens, got {len(tokens)}",
+                             lineno, _column(line, 2 if len(tokens) > 2 else 0))
         pair = []
         for tok in tokens:
             if tok not in names:
@@ -62,8 +73,7 @@ def parse_edge_list(text) -> Graph:
                 order.append(tok)
             pair.append(names[tok])
         if pair[0] == pair[1]:
-            raise ParseError(f"loop edge at {tokens[0]!r} not allowed",
-                             lineno, line.index(tokens[0]) + 1)
+            raise ParseError(f"loop edge at {tokens[0]!r} not allowed", lineno, _column(line, 0))
         edges.append((pair[0], pair[1]))
     n = len(order)
     if declared is not None:
@@ -77,31 +87,28 @@ def parse_edge_list(text) -> Graph:
     first = len(order)
     extra = [str(i) for i in range(first, n)]
     spare = (name for name in map(str, itertools.count()) if name not in names)
-    # int() after the length guard, as for the header
-    for i in sorted(int(tok) for tok in order
-                    if tok.isdecimal() and len(tok) <= len(str(n)) and str(int(tok)) == tok):
-        if first <= i < n:
-            extra[i - first] = next(spare)
+    for i in sorted(i for i, tok in zip(map(_decimal, order), order)
+                    if i is not None and first <= i < n and str(i) == tok):
+        extra[i - first] = next(spare)
     vertex_names = tuple(order) + tuple(extra)
     return Graph(n, edges, vertex_names if n else None)
 
 
-_DOT_TOKEN = re.compile(r'[A-Za-z0-9_.]+|"(?:[^"\\]|\\.)*"|--|->|[{};=\[\],]')
+_DOT_TOKEN = re.compile(r'[A-Za-z0-9_.]+|"(?:[^"\\]|\\.)*"|--|->|[{};=\[\],]|(\S)')
 
 
 def parse_dot(text) -> Graph:
+    def fail(tok, message):
+        """Raise at the 1-based line and column of tok, a (text, offset) pair."""
+        line_start = text.rfind("\n", 0, tok[1]) + 1
+        raise ParseError(message, text.count("\n", 0, tok[1]) + 1, tok[1] - line_start + 1)
+
     tokens = []
     for match in _DOT_TOKEN.finditer(text):
-        upto = text[:match.start()]
-        line = upto.count("\n") + 1
-        column = match.start() - (upto.rfind("\n") + 1) + 1
-        tokens.append((match.group(), line, column))
-    leftover = _DOT_TOKEN.sub(lambda m: " " * len(m.group()), text)
-    for i, ch in enumerate(leftover):
-        if not ch.isspace():
-            upto = leftover[:i]
-            raise ParseError(f"unexpected character {ch!r}",
-                             upto.count("\n") + 1, i - (upto.rfind("\n") + 1) + 1)
+        tok = (match.group(), match.start())
+        if match.lastindex:  # the catch-all: no token starts here
+            fail(tok, f"unexpected character {tok[0]!r}")
+        tokens.append(tok)
     pos = 0
 
     def peek():
@@ -113,15 +120,12 @@ def parse_dot(text) -> Graph:
         pos += 1
         return tok
 
-    def fail(tok, message):
-        raise ParseError(message, tok[1], tok[2])
-
     def unquote(s):
         return s[1:-1].replace('\\"', '"').replace("\\\\", "\\") if s.startswith('"') else s
 
     if peek() == "strict":
         take()
-    header = take() if tokens else ("", 1, 1)
+    header = take() if tokens else ("", 0)
     if header[0] == "digraph":
         fail(header, "directed graphs are not supported")
     if header[0] != "graph":
@@ -131,7 +135,7 @@ def parse_dot(text) -> Graph:
         if name_tok[0] in ("--", "->", ";", "}", "[", "]"):
             fail(name_tok, "expected a graph name or '{'")
     if peek() != "{":
-        fail(tokens[pos] if pos < len(tokens) else ("", 1, 1), "expected '{'")
+        fail(tokens[pos] if pos < len(tokens) else ("", 0), "expected '{'")
     take()
     names = {}
     order = []
@@ -161,7 +165,7 @@ def parse_dot(text) -> Graph:
     while True:
         tok = peek()
         if tok is None:
-            raise ParseError("missing closing '}'", tokens[-1][1], tokens[-1][2])
+            fail(tokens[-1], "missing closing '}'")
         if tok == "}":
             take()
             break

@@ -9,7 +9,8 @@ import pytest
 
 from forestgraph import (Graph, ParseError, build_forest_graph, complete_graph,
                          cycle_graph, enumerate_graphs, format_dot, format_edge_list,
-                         parse_dot, parse_edge_list, parse_graph, roots)
+                         forests, graphs, parse_dot, parse_edge_list, parse_graph,
+                         path_graph, roots)
 from forestgraph.cli import main
 from forestgraph.io import HEADER_VERTEX_LIMIT
 
@@ -427,3 +428,122 @@ class TestCliVerify:
         assert code == 1
         assert "verification failed: stability-k1-k3" in err
         assert "stability-k1-k3=fail" in out.splitlines()
+
+
+class TestTokenPositions:
+    """Errors name the line and column where the offending token starts."""
+
+    def test_dot_error_after_multiline_quoted_name(self):
+        with pytest.raises(ParseError) as info:
+            parse_dot('graph {\n "a\nb" -- c; $\n}')
+        assert (info.value.line, info.value.column) == (3, 10)
+
+    def test_dot_whitespace_and_quoted_newlines(self):
+        rng = random.Random(9)
+        blanks = (" ", "  ", "\t", "\n", " \n ", "\r\n")
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                for _ in range(3):
+                    names = [f"v{i}" if rng.random() < 0.5 else f"v\n{i}" for i in range(n)]
+                    words = ["graph", "{"]
+                    for v in range(n):
+                        words += [f'"{names[v]}"', ";"]
+                    for u, v in g.edges:
+                        words += [f'"{names[u]}"', "--", f'"{names[v]}"', ";"]
+                    words.append("}")
+                    # gaps[k] is the offset of the blank before words[k]
+                    text, gaps = "", []
+                    for word in words:
+                        gaps.append(len(text))
+                        text += rng.choice(blanks) + word
+                    h = parse_dot(text)
+                    listed = parse_edge_list(format_edge_list(g))
+                    assert (h.vertex_count, h.edges, h.vertex_names) == (n, g.edges, tuple(names))
+                    assert {frozenset(map(h.name_of, e)) for e in h.edges} \
+                        == {frozenset(names[int(listed.name_of(x))] for x in e)
+                            for e in listed.edges}
+                    at = rng.choice(gaps)
+                    with pytest.raises(ParseError) as info:
+                        parse_dot(text[:at] + "$" + text[at:])
+                    before = text[:at].split("\n")
+                    assert (info.value.line, info.value.column) \
+                        == (len(before), len(before[-1]) + 1), repr(text)
+
+    @pytest.mark.parametrize("text, column", [("0 1 0\n", 5), ("vertices vertices\n", 10),
+                                              ("  x\ty  x\n", 8), ("\tq q\n", 2)])
+    def test_edge_list_column_of_the_token(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+
+class TestDecimalTokens:
+    """Vertex indices, edge ids and the header count are ASCII decimals."""
+
+    REFUSED = ["٣", "1_0", "+0", "-1"]
+
+    @pytest.mark.parametrize("token", REFUSED)
+    def test_header(self, token):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(f"vertices {token}\na b\n")
+        assert str(info.value) == f"line 1, column 10: vertex count {token!r} is not a number"
+
+    @pytest.mark.parametrize("token", REFUSED)
+    def test_vertex_argument(self, capsys, token):
+        code, out, err = run_cli(["whitney", "-", "split", "--", token, "2"],
+                                 "vertices 12\n0 1\n1 2\n", capsys)
+        assert (code, out, err) == (2, "", f"error: unknown vertex {token!r}\n")
+
+    @pytest.mark.parametrize("token", REFUSED)
+    def test_forest_spec(self, capsys, token):
+        k4 = format_edge_list(complete_graph(4))
+        code, out, err = run_cli(["distance", "-", "--", f"{token},1,2", "0,1,2"], k4, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: forest spec '{token},1,2' is not a comma-separated "
+                       "list of edge indices\n")
+
+    def test_spaces_around_forest_ids(self, capsys):
+        code, out, err = run_cli(["distance", "-", "0, 1", " 0 ,2 "], "0 1\n1 2\n0 2\n", capsys)
+        assert (code, out, err) == (0, "1\n", "")
+
+    def test_names_win_over_indices(self, capsys):
+        # the token "0" names vertex 2, and "004" is the index of vertex 4
+        text = "vertices 5\n2 x\nx 0\n0 y\n"
+        runs = [run_cli(["whitney", "-", "identify", pair, "--format", "structured"],
+                        text, capsys) for pair in ("0:4", "0:004", "2:4")]
+        assert runs[0] == runs[1] != runs[2]
+        assert runs[0][0] == 0 and "vertex_map=0,1,2,3,2" in runs[0][1]
+
+
+class TestInputScale:
+    """Reading input stays linear: bounds measured in process."""
+
+    def test_fgraph_k6_dot_round_trip(self, capsys):
+        code, dot, _ = run_cli(["fgraph", "-", "--format", "dot"],
+                               format_edge_list(complete_graph(6)), capsys)
+        assert code == 0 and len(dot) == 359246
+        start = time.perf_counter()
+        code, out, err = run_cli(["classify", "-"], dot, capsys)
+        assert (code, out, err) == (0, "Divergent; witness: cycle of length 4\n", "")
+        assert time.perf_counter() - start < 2
+
+    def test_whitney_split_many_side_tokens(self, capsys):
+        n = 8000
+        side = ",".join(map(str, range(2, n)))
+        text = format_edge_list(path_graph(n))
+        start = time.perf_counter()
+        code, out, err = run_cli(["whitney", "-", "split", "1", side, "--format", "structured"],
+                                 text, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == [f"vertices {n + 1}", "0 1", "2 3"]
+
+    def test_forest_check_without_components(self, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("components walk")
+
+        monkeypatch.setattr(forests, "components", refuse)
+        monkeypatch.setattr(graphs, "components", refuse)
+        code, out, err = run_cli(["distance", "-", "0", "0"],
+                                 f"vertices {HEADER_VERTEX_LIMIT}\na b\n", capsys)
+        assert (code, out, err) == (0, "0\n", "")
