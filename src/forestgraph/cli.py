@@ -51,15 +51,6 @@ def _parse_forest(g, spec) -> MaximalForest:
     return MaximalForest(g, ids)
 
 
-def _resolve_vertex(g, names, token) -> int:
-    if token in names:
-        return names[token]
-    v = _decimal(token)
-    if v is not None and v < g.vertex_count:
-        return v
-    raise GraphInputError(f"unknown vertex {token!r}")
-
-
 def _describe(g) -> str:
     n, m = g.vertex_count, len(g.edges)
     if m == n * (n - 1) // 2:
@@ -77,18 +68,30 @@ def _inline(g) -> str:
     return f"{g.vertex_count}:" + ",".join(f"{u}-{v}" for u, v in g.edges)
 
 
-def _print_graph(g, fmt, human_title):
+def _print_graph(g, fmt, title=None):
+    """A graph in DOT or as an edge list; `--format human` puts `title` and the
+    graph's size on a line before the edge list."""
     if fmt == "dot":
         sys.stdout.write(format_dot(g))
-    elif fmt == "structured":
-        sys.stdout.write(format_edge_list(g))
-    else:
-        print(human_title)
-        sys.stdout.write(format_edge_list(g))
+        return
+    if fmt == "human" and title is not None:
+        print(f"{title}: {g.vertex_count} vertices, {len(g.edges)} edges")
+    sys.stdout.write(format_edge_list(g))
 
 
-def cmd_forests(args) -> int:
-    g = _read_graph(args.input)
+def _print_depth(report):
+    """The kind=, depth=, stop= and provable= lines of a structured depth report."""
+    print(f"kind={report.kind}")
+    if report.kind == "stable":
+        print("depth=unbounded")
+        return
+    print(f"depth={report.depth}")
+    if report.stop is not None:
+        print(f"stop={report.stop.reason}")
+        print(f"provable={'true' if report.provable_stop else 'false'}")
+
+
+def cmd_forests(args, g) -> int:
     family = maximal_forests(g, args.budget)
     if args.format == "structured":
         print(f"count={len(family)}")
@@ -102,8 +105,7 @@ def cmd_forests(args) -> int:
     return 0
 
 
-def cmd_count(args) -> int:
-    g = _read_graph(args.input)
+def cmd_count(args, g) -> int:
     count = count_maximal_forests(g)
     if args.format == "structured":
         print(f"count={count}")
@@ -112,8 +114,7 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_fgraph(args) -> int:
-    g = _read_graph(args.input)
+def cmd_fgraph(args, g) -> int:
     fg = build_forest_graph(g, args.budget)
     if args.format == "dot":
         labels = [" ".join(map(str, f.edge_ids())) for f in fg.family]
@@ -134,8 +135,7 @@ def cmd_fgraph(args) -> int:
     return 0
 
 
-def cmd_distance(args) -> int:
-    g = _read_graph(args.input)
+def cmd_distance(args, g) -> int:
     f1 = _parse_forest(g, args.forest1)
     f2 = _parse_forest(g, args.forest2)
     d = forest_distance(f1, f2)
@@ -143,8 +143,7 @@ def cmd_distance(args) -> int:
     return 0
 
 
-def cmd_path(args) -> int:
-    g = _read_graph(args.input)
+def cmd_path(args, g) -> int:
     f1 = _parse_forest(g, args.forest1)
     f2 = _parse_forest(g, args.forest2)
     walk = exchange_path(g, f1, f2)
@@ -159,19 +158,15 @@ def cmd_path(args) -> int:
     return 0
 
 
-def cmd_iterate(args) -> int:
-    g = _read_graph(args.input)
+def cmd_iterate(args, g) -> int:
     if args.steps < 0:
         raise GraphInputError("step count must be non-negative")
-    result = iterate_F(g, args.steps, args.budget)
-    _print_graph(result, args.format,
-                 f"after {args.steps} steps: {result.vertex_count} vertices, "
-                 f"{len(result.edges)} edges")
+    _print_graph(iterate_F(g, args.steps, args.budget), args.format,
+                 f"after {args.steps} steps")
     return 0
 
 
-def cmd_classify(args) -> int:
-    g = _read_graph(args.input)
+def cmd_classify(args, g) -> int:
     verdict = classify(g)
     if args.format == "structured":
         print(verdict.to_kv())
@@ -187,8 +182,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_stable(args) -> int:
-    g = _read_graph(args.input)
+def cmd_stable(args, g) -> int:
     flag = is_stable(g, args.budget)
     if args.format == "structured":
         print(f"stable={'true' if flag else 'false'}")
@@ -197,8 +191,7 @@ def cmd_stable(args) -> int:
     return 0
 
 
-def cmd_roots(args) -> int:
-    g = _read_graph(args.input)
+def cmd_roots(args, g) -> int:
     report = depth_lower_bound(g, args.max_vertices, args.max_edges,
                                args.max_depth, args.budget)
     result = report.search
@@ -210,14 +203,7 @@ def cmd_roots(args) -> int:
             print(f"root={_inline(root)}")
         if result.certificate is not None:
             print(f"certificate={result.certificate.reason}")
-        print(f"kind={report.kind}")
-        if report.kind == "stable":
-            print("depth=unbounded")
-        else:
-            print(f"depth={report.depth}")
-            if report.stop is not None:
-                print(f"stop={report.stop.reason}")
-                print(f"provable={'true' if report.provable_stop else 'false'}")
+        _print_depth(report)
         return 0
     if report.kind == "stable":
         names = ", ".join(_describe(r) for r in result.roots)
@@ -235,19 +221,11 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def cmd_depth(args) -> int:
-    g = _read_graph(args.input)
+def cmd_depth(args, g) -> int:
     report = depth_lower_bound(g, args.max_vertices, args.max_edges,
                                args.max_depth, args.budget)
     if args.format == "structured":
-        print(f"kind={report.kind}")
-        if report.kind == "stable":
-            print("depth=unbounded")
-            return 0
-        print(f"depth={report.depth}")
-        if report.stop is not None:
-            print(f"stop={report.stop.reason}")
-            print(f"provable={'true' if report.provable_stop else 'false'}")
+        _print_depth(report)
         if report.chain is not None:
             for i, graph in enumerate(report.chain.graphs):
                 print("graph")
@@ -269,11 +247,20 @@ def cmd_depth(args) -> int:
     return 0
 
 
-def cmd_whitney(args) -> int:
-    g = _read_graph(args.input)
+def cmd_whitney(args, g) -> int:
     names = {}
     for v, name in enumerate(g.vertex_names or ()):
         names.setdefault(name, v)  # the first vertex wins a repeated name
+
+    def vertices(tokens):
+        """Vertex indices of tokens, names before decimal indices."""
+        out = []
+        for token in tokens:
+            v = names[token] if token in names else _decimal(token)
+            if v is None or v >= g.vertex_count:
+                raise GraphInputError(f"unknown vertex {token!r}")
+            out.append(v)
+        return out
 
     if args.operation == "identify":
         pairs = []
@@ -281,38 +268,25 @@ def cmd_whitney(args) -> int:
             left, sep, right = spec.partition(":")
             if not sep:
                 raise GraphInputError(f"identify takes vertex pairs as A:B, got {spec!r}")
-            pairs.append((_resolve_vertex(g, names, left), _resolve_vertex(g, names, right)))
+            pairs.append(vertices((left, right)))
         result = whitney_identify(g, pairs)
-    elif args.operation == "split":
-        if len(args.args) != 2:
-            raise GraphInputError("split takes a vertex and a comma-separated side")
-        v = _resolve_vertex(g, names, args.args[0])
-        side = [_resolve_vertex(g, names, tok) for tok in args.args[1].split(",") if tok]
-        result = whitney_split(g, v, side)
-    elif args.operation == "twist":
-        if len(args.args) != 3:
-            raise GraphInputError("twist takes two vertices and a comma-separated side")
-        u = _resolve_vertex(g, names, args.args[0])
-        v = _resolve_vertex(g, names, args.args[1])
-        side = [_resolve_vertex(g, names, tok) for tok in args.args[2].split(",") if tok]
-        result = whitney_twist(g, u, v, side)
     else:
-        raise GraphInputError(f"unknown whitney operation {args.operation!r}")
-    if args.format == "dot":
-        sys.stdout.write(format_dot(result.graph))
-        return 0
+        split = args.operation == "split"
+        *ends, side = args.args
+        if len(ends) != (1 if split else 2):
+            raise GraphInputError("split takes a vertex and a comma-separated side" if split
+                                  else "twist takes two vertices and a comma-separated side")
+        rewrite = whitney_split if split else whitney_twist
+        # empty items of a side are skipped; an empty vertex argument is not
+        result = rewrite(g, *vertices(ends), vertices(tok for tok in side.split(",") if tok))
+    _print_graph(result.graph, args.format, args.operation)
     if args.format == "structured":
-        sys.stdout.write(format_edge_list(result.graph))
         print("vertex_map=" + ",".join(map(str, result.vertex_map)))
         print("edge_map=" + ",".join(map(str, result.edge_map)))
-        return 0
-    print(f"{args.operation}: {result.graph.vertex_count} vertices, "
-          f"{len(result.graph.edges)} edges")
-    sys.stdout.write(format_edge_list(result.graph))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _) -> int:
     results = checks.run_all(max_n=args.max_n, seed=args.seed, budget=args.budget,
                              whitney_count=args.trials)
     failed = []
@@ -334,32 +308,32 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, _) -> int:
     kind = args.kind
     if kind == "bowtie":
         graphs_out = [Graph(5, BOWTIE_EDGES)]
     else:
-        if args.n is None:
+        n = args.n
+        if n is None:
             raise GraphInputError(f"gen {kind} needs a vertex count")
-        if kind != "all" and args.n > HEADER_VERTEX_LIMIT:
+        if kind != "all" and n > HEADER_VERTEX_LIMIT:
             raise GraphInputError(f"gen {kind} takes at most {HEADER_VERTEX_LIMIT} vertices")
+        # K_N is N(N-1)/2 output lines; complete_graph refuses a negative N itself
+        if kind == "complete" and n > 0 and n * (n - 1) // 2 > HEADER_VERTEX_LIMIT:
+            raise GraphInputError(f"gen complete {n} has {n * (n - 1) // 2} edges, "
+                                  f"more than {HEADER_VERTEX_LIMIT}")
         if kind == "cycle":
-            graphs_out = [cycle_graph(args.n)]
+            graphs_out = [cycle_graph(n)]
         elif kind == "complete":
-            graphs_out = [complete_graph(args.n)]
+            graphs_out = [complete_graph(n)]
         elif kind == "path":
-            graphs_out = [path_graph(args.n)]
-        elif kind == "all":
-            graphs_out = enumerate_graphs(args.n)
+            graphs_out = [path_graph(n)]
         else:
-            raise GraphInputError(f"unknown generator {kind!r}")
+            graphs_out = enumerate_graphs(n)
     for i, g in enumerate(graphs_out):
         if len(graphs_out) > 1:
             print(f"# graph {i}")
-        if args.format == "dot":
-            sys.stdout.write(format_dot(g))
-        else:
-            sys.stdout.write(format_edge_list(g))
+        _print_graph(g, args.format)
     return 0
 
 
@@ -432,11 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # verify and gen take no input; every other subcommand reads one graph
+        return args.func(args, _read_graph(args.input) if "input" in args else None)
     except (ParseError, GraphInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

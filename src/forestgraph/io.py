@@ -125,12 +125,12 @@ def parse_dot(text) -> Graph:
 
     if peek() == "strict":
         take()
-    header = take() if tokens else ("", 0)
+    header = take() if peek() is not None else ("", 0)
     if header[0] == "digraph":
         fail(header, "directed graphs are not supported")
     if header[0] != "graph":
         fail(header, f"expected 'graph', got {header[0]!r}")
-    if peek() not in ("{",):
+    if peek() not in ("{", None):  # a header may end before its '{'; that fails below
         name_tok = take()
         if name_tok[0] in ("--", "->", ";", "}", "[", "]"):
             fail(name_tok, "expected a graph name or '{'")

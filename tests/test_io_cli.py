@@ -405,6 +405,21 @@ class TestCliErrors:
         assert err == f"error: gen {kind} takes at most {HEADER_VERTEX_LIMIT} vertices\n"
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("n", [1415, 1000000])
+    def test_gen_complete_over_edge_limit_exit_2_at_once(self, capsys, n):
+        # K_1414 has 998,991 edges, K_1415 has 1,000,405
+        start = time.perf_counter()
+        code, out, err = run_cli(["gen", "complete", str(n)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: gen complete {n} has {n * (n - 1) // 2} edges, more than 1000000\n"
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text", ["graph", "strict graph"])
+    def test_truncated_dot_header_exit_2(self, capsys, text):
+        code, out, err = run_cli(["count", "-"], text, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 1: expected '{'\n"
+
 
 class TestCliVerify:
     def test_small_corpus_passes(self, capsys):
