@@ -20,7 +20,7 @@ from .forests import (ForestFamily, MaximalForest, brute_force_maximal_forests,
 from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
                      blocks, bridges, cartesian_product,
                      complete_graph, components, cycle_graph, cyclomatic_number,
-                     find_isomorphism, hamiltonian_cycle, is_bipartite,
+                     find_isomorphism, is_bipartite,
                      is_isomorphic, max_clique, path_graph, unique_cycle)
 from .io import (ParseError, format_dot, format_edge_list, parse_dot,
                  parse_edge_list, parse_graph)
@@ -44,7 +44,7 @@ __all__ = [
     "depth_lower_bound", "enumerate_graphs",
     "exchange_path", "extend_to_maximal", "find_isomorphism", "find_roots",
     "finite_connectivity_check", "forest_distance", "format_dot",
-    "format_edge_list", "hamiltonian_cycle", "is_bipartite", "is_isomorphic",
+    "format_edge_list", "is_bipartite", "is_isomorphic",
     "is_stable", "iterate_F", "max_clique", "maximal_forests", "no_root_prune",
     "parse_dot", "parse_edge_list", "parse_graph", "path_graph",
     "unique_cycle", "verify_clique_growth", "whitney_identify",

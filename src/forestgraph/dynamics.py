@@ -5,10 +5,12 @@ acyclic (limit K_1) or has precisely one cycle, of length 3 (limit K_3); it
 reaches the limit in at most one step, since such a graph has one maximal
 forest or three, pairwise one exchange apart.  Everything else diverges,
 witnessed by a cycle of length at least 4 or by two edge-disjoint triangles,
-and cliques in the iterates then grow without bound.  The witness
-constructions below build the growing cliques explicitly as sets of
-pairwise-exchangeable forests, so a claim about F^k can be verified without
-ever materializing F^k itself.
+and cliques in the iterates then grow without bound.  `classify` reads the
+verdict and its witness off the blocks of the graph by construction, with no
+search: a long cycle comes from one depth-first tree of a block on four or
+more vertices.  The witness constructions below build the growing cliques
+explicitly as sets of pairwise-exchangeable forests, so a claim about F^k can
+be verified without ever materializing F^k itself.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
 from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, extend_to_maximal
-from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError, _sole_cycle,
-                     blocks, find_long_cycle, is_isomorphic)
+from .graphs import BudgetError, Cycle, EdgeSubset, GraphInputError, blocks, is_isomorphic
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -92,71 +93,63 @@ def iterate_F(g, n, budget=FOREST_BUDGET):
 def classify(g) -> Verdict:
     """Decide convergence and attach the limit or a divergence witness.
 
-    One block pass decides.  With no block of two or more edges g is a
-    forest, limit K_1.  With one such block, a cycle, g has cyclomatic number
-    1: a triangle converges to K_3, a longer cycle is the divergence witness.
-    Past that, a block on four or more vertices holds a cycle of length >= 4:
-    searched for inside the large blocks through their smallest vertex, it is
-    the first one a depth-first search of g meets.  Otherwise the first two
+    One block pass decides, with no search.  With no block of two or more
+    edges g is a forest, limit K_1.  With one such block of three edges, a
+    triangle, g converges to K_3.  Otherwise the first block on four or more
+    vertices (more than three edges) holds a cycle of length >= 4, read off
+    one depth-first tree of that block; with no such block the first two
     triangle blocks are the witness.
     """
     big = [block for block in blocks(g) if len(block) > 1]
     if not big:
         return Verdict(CONVERGENT, limit="K1", steps=int(g.vertex_count != 1))
-    cyc = _sole_cycle(g, big)
-    if cyc is not None:
-        if cyc.length == 3:
-            return Verdict(CONVERGENT, limit="K3",
-                           steps=int((g.vertex_count, len(g.edges)) != (3, 3)))
-        return Verdict(DIVERGENT, witness_kind=WITNESS_LONG_CYCLE, witness=(cyc,))
-    spans = [sorted({x for eid in block for x in g.edges[eid]}) for block in big]
-    large = [verts for verts in spans if len(verts) >= 4]
-    if not large:
-        first, second = sorted(spans)[:2]
-        return Verdict(DIVERGENT, witness_kind=WITNESS_TWO_TRIANGLES,
-                       witness=(Cycle(g, first), Cycle(g, second)))
-    start = min(verts[0] for verts in large)
-    # relabel in order, so the search takes the steps it would take on g
-    keep = sorted({x for verts in large if verts[0] == start for x in verts})
-    pos = {v: i for i, v in enumerate(keep)}
-    sub = Graph(len(keep), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
-    cyc = find_long_cycle(sub, 4) or _long_cycle_from_tree(sub)
-    return Verdict(DIVERGENT, witness_kind=WITNESS_LONG_CYCLE,
-                   witness=(Cycle(g, [keep[v] for v in cyc.vertices]),))
+    if len(big) == 1 and len(big[0]) == 3:
+        return Verdict(CONVERGENT, limit="K3",
+                       steps=int((g.vertex_count, len(g.edges)) != (3, 3)))
+    large = next((block for block in big if len(block) > 3), None)
+    if large is not None:
+        return Verdict(DIVERGENT, witness_kind=WITNESS_LONG_CYCLE,
+                       witness=(_long_cycle_in_block(g, large),))
+    triangles = [Cycle(g, sorted({x for eid in t for x in g.edges[eid]})) for t in big[:2]]
+    return Verdict(DIVERGENT, witness_kind=WITNESS_TWO_TRIANGLES, witness=tuple(triangles))
 
 
-def _long_cycle_from_tree(sub) -> Cycle:
-    """A cycle of length >= 4 in `sub`, whose blocks all have four or more
-    vertices and meet at vertex 0, read off a depth-first tree in linear time
-    for when the search budget of find_long_cycle runs out.
+def _long_cycle_in_block(g, block) -> Cycle:
+    """A cycle of length >= 4 in `block`, the sorted edge ids of a block of g
+    on four or more vertices, read off one depth-first tree of the block
+    rooted at its smallest vertex, in linear time.
 
-    A back edge spanning three levels closes one.  Otherwise every vertex two
-    or more levels down has a back edge to its grandparent, and two such edges
-    make a 4-cycle.
+    A back edge spanning three levels closes one.  Otherwise, as the block is
+    2-connected, the root has one child c and every vertex two or more levels
+    down has a back edge to its grandparent: a vertex u three levels down
+    closes a 4-cycle through its grandparent and its parent, and two vertices
+    x, y two levels down close (root, x, c, y).
     """
-    parent, depth = {0: None}, {0: 0}
-    stack = [(0, iter(sub.neighbors(0)))]
+    inside = set(block)
+    root = g.edges[block[0]][0]
+    parent, depth = {root: None}, {root: 0}
+    stack = [(root, iter(g.incident(root)))]
     while stack:
         v, it = stack[-1]
-        for w in it:
+        for w, eid in it:
+            if eid not in inside:
+                continue
             if w not in parent:
                 parent[w], depth[w] = v, depth[v] + 1
-                stack.append((w, iter(sub.neighbors(w))))
+                stack.append((w, iter(g.incident(w))))
                 break
             if depth[w] <= depth[v] - 3:
                 walk = [v]
                 while walk[-1] != w:
                     walk.append(parent[walk[-1]])
-                return Cycle(sub, walk)
+                return Cycle(g, walk)
         else:
             stack.pop()
     u = next((u for u in parent if depth[u] == 3), None)
     if u is not None:
-        return Cycle(sub, (0, parent[parent[u]], u, parent[u]))
-    # every child of 0 has two children, each joined to 0
-    x = next(x for x in parent if depth[x] == 2)
-    y = next(y for y in parent if depth[y] == 2 and y != x and parent[y] == parent[x])
-    return Cycle(sub, (0, x, parent[x], y))
+        return Cycle(g, (root, parent[parent[u]], u, parent[u]))
+    x, y = [v for v in parent if depth[v] == 2][:2]
+    return Cycle(g, (root, x, parent[x], y))
 
 
 def is_stable(g, budget=FOREST_BUDGET) -> bool:

@@ -13,7 +13,6 @@ from bisect import bisect_left
 from collections import namedtuple
 
 CLIQUE_VERTEX_LIMIT = 200
-HAMILTONIAN_VERTEX_LIMIT = 30
 ISO_VERTEX_LIMIT = 12
 
 
@@ -321,13 +320,9 @@ def bridges(g) -> EdgeSubset:
 
 
 def unique_cycle(g):
-    """The one cycle of a graph with cyclomatic number 1, else None."""
-    return _sole_cycle(g, [block for block in blocks(g) if len(block) > 1])
-
-
-def _sole_cycle(g, big):
-    """The cycle of g when `big`, its blocks of two or more edges, is one
-    block with as many vertices as edges; else None."""
+    """The one cycle of a graph with cyclomatic number 1, else None: that is
+    the one block of two or more edges, when it has as many vertices as edges."""
+    big = [block for block in blocks(g) if len(block) > 1]
     if len(big) != 1:
         return None
     adj = {}
@@ -423,64 +418,6 @@ def max_clique(g) -> tuple:
 
     expand(0, 0, (1 << n) - 1)
     return tuple(v for v in range(n) if best_bits >> v & 1)
-
-
-def hamiltonian_cycle(g, node_budget=2_000_000):
-    """Find a Hamiltonian cycle by backtracking with degree pruning.
-
-    Returns a Cycle, or None when the exhaustive search proves none exists.
-    Raises BudgetError when the graph is too large or the node budget runs out
-    before either conclusion (absence is then not proven).
-    """
-    n = g.vertex_count
-    if n > HAMILTONIAN_VERTEX_LIMIT:
-        raise BudgetError(
-            f"hamiltonian_cycle limited to {HAMILTONIAN_VERTEX_LIMIT} vertices (got {n})",
-            count=n, budget=HAMILTONIAN_VERTEX_LIMIT)
-    if n < 3:
-        return None
-    if any(g.degree(v) < 2 for v in range(n)) or len(components(g)) > 1:
-        return None
-    nb = [0] * n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
-    target = (1 << n) - 1
-    path = [0]
-    nodes = 0
-
-    def rec(cur, visited):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetError("hamiltonian_cycle search budget exhausted",
-                              count=nodes, budget=node_budget)
-        if visited == target:
-            return nb[cur] & 1 == 1
-        rem = target & ~visited
-        r = rem
-        while r:
-            b = r & -r
-            r ^= b
-            w = b.bit_length() - 1
-            # w still needs two cycle neighbors among the unvisited part,
-            # the current endpoint and the start vertex
-            if (nb[w] & ((rem ^ b) | (1 << cur) | 1)).bit_count() < 2:
-                return False
-        ext = nb[cur] & rem
-        while ext:
-            b = ext & -ext
-            ext ^= b
-            w = b.bit_length() - 1
-            path.append(w)
-            if rec(w, visited | b):
-                return True
-            path.pop()
-        return False
-
-    if rec(0, 1):
-        return Cycle(g, tuple(path))
-    return None
 
 
 def find_long_cycle(g, min_length, node_budget=500_000):

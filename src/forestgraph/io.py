@@ -125,7 +125,7 @@ def parse_dot(text) -> Graph:
 
     if peek() == "strict":
         take()
-    header = take() if peek() is not None else ("", 0)
+    header = take() if peek() is not None else ("", len(text))
     if header[0] == "digraph":
         fail(header, "directed graphs are not supported")
     if header[0] != "graph":
@@ -135,7 +135,7 @@ def parse_dot(text) -> Graph:
         if name_tok[0] in ("--", "->", ";", "}", "[", "]"):
             fail(name_tok, "expected a graph name or '{'")
     if peek() != "{":
-        fail(tokens[pos] if pos < len(tokens) else ("", 0), "expected '{'")
+        fail(tokens[pos] if pos < len(tokens) else ("", len(text)), "expected '{'")
     take()
     names = {}
     order = []

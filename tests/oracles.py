@@ -6,9 +6,10 @@ brute force, blocks come from merging edges that share a cycle, exchange
 paths test connectivity by walking the remaining edges, components and
 bipartiteness come from union-find (the latter on a doubled vertex set),
 isomorphism tries every permutation, cliques come from subset scans,
-unlabeled-graph counts come from the orbit-counting lemma, and forest-graph
-adjacency comes from one bucket join over the whole forest family, not from
-the product of the blocks' forest graphs.
+Hamiltonian cycles come from bitmask backtracking, unlabeled-graph counts
+come from the orbit-counting lemma, and forest-graph adjacency comes from one
+bucket join over the whole forest family, not from the product of the
+blocks' forest graphs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from forestgraph import BudgetError, Cycle
+
+HAMILTONIAN_VERTEX_LIMIT = 30
 
 
 def dc_spanning_trees(n, edges) -> int:
@@ -272,3 +277,61 @@ def laplacian_tree_count_float_check(g) -> float:
             for c in range(k, n - 1):
                 a[r][c] -= f * a[k][c]
     return det
+
+
+def hamiltonian_cycle(g, node_budget=2_000_000):
+    """A Hamiltonian cycle by bitmask backtracking with degree pruning.
+
+    Returns a Cycle, or None when the exhaustive search proves none exists.
+    Raises BudgetError when the graph is too large or the node budget runs out
+    before either conclusion (absence is then not proven).
+    """
+    n = g.vertex_count
+    if n > HAMILTONIAN_VERTEX_LIMIT:
+        raise BudgetError(
+            f"hamiltonian_cycle limited to {HAMILTONIAN_VERTEX_LIMIT} vertices (got {n})",
+            count=n, budget=HAMILTONIAN_VERTEX_LIMIT)
+    if n < 3:
+        return None
+    if any(g.degree(v) < 2 for v in range(n)) or len(union_find_components(g)) > 1:
+        return None
+    nb = [0] * n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    target = (1 << n) - 1
+    path = [0]
+    nodes = 0
+
+    def rec(cur, visited):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetError("hamiltonian_cycle search budget exhausted",
+                              count=nodes, budget=node_budget)
+        if visited == target:
+            return nb[cur] & 1 == 1
+        rem = target & ~visited
+        r = rem
+        while r:
+            b = r & -r
+            r ^= b
+            w = b.bit_length() - 1
+            # w still needs two cycle neighbors among the unvisited part,
+            # the current endpoint and the start vertex
+            if (nb[w] & ((rem ^ b) | (1 << cur) | 1)).bit_count() < 2:
+                return False
+        ext = nb[cur] & rem
+        while ext:
+            b = ext & -ext
+            ext ^= b
+            w = b.bit_length() - 1
+            path.append(w)
+            if rec(w, visited | b):
+                return True
+            path.pop()
+        return False
+
+    if rec(0, 1):
+        return Cycle(g, tuple(path))
+    return None

@@ -14,14 +14,14 @@ from forestgraph import (Graph, build_forest_graph, cartesian_product,
                          clique_witness_from_cycle, complete_graph,
                          count_maximal_forests, cycle_graph, depth_lower_bound,
                          enumerate_graphs, exchange_path, find_roots,
-                         forest_distance, hamiltonian_cycle, is_isomorphic,
-                         is_stable, maximal_forests, no_root_prune)
+                         forest_distance, is_isomorphic, is_stable,
+                         maximal_forests, no_root_prune)
 from forestgraph.checks import (check_convergence, check_root_exclusions,
                                 check_stability, divergence_growth_evidence,
                                 whitney_invariance_trials)
 from forestgraph.graphs import bridges, components
 
-from .oracles import bfs_distances
+from .oracles import bfs_distances, hamiltonian_cycle
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 

@@ -15,7 +15,7 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
                          verify_clique_growth)
 from forestgraph.dynamics import (CONVERGENT, DIVERGENT, GRID_CYCLE,
                                   WITNESS_LONG_CYCLE, WITNESS_TWO_TRIANGLES,
-                                  _long_cycle_from_tree)
+                                  _long_cycle_in_block)
 from forestgraph import dynamics, forest_graph, graphs, roots
 from forestgraph.graphs import find_long_cycle
 
@@ -23,6 +23,8 @@ from .oracles import brute_force_cycles, brute_force_isomorphic
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+TRAP = Graph(23, [(0, 1), (1, 2), (1, 20), (2, 21), (21, 22), (0, 22)]
+             + list(itertools.combinations(range(2, 21), 2)))
 
 
 class TestIterate:
@@ -90,16 +92,28 @@ class TestClassify:
         assert verdict.witness[0].length >= 4
 
     def test_long_cycle_when_search_budget_runs_out(self):
-        # one block: the search from 0 enters the clique on 2..20 through 2 and
-        # must try every path there before it leaves through 21
-        edges = [(0, 1), (1, 2), (1, 20), (2, 21), (21, 22), (0, 22)]
-        g = Graph(23, edges + list(itertools.combinations(range(2, 21), 2)))
+        # one block: find_long_cycle's search from 0 enters the clique on
+        # 2..20 through 2 and must try every path there before it leaves
+        # through 21, so its budget runs out; classify searches nothing
+        g = TRAP
         assert find_long_cycle(g, 4) is None
         verdict = classify(g)
         assert verdict.witness_kind == WITNESS_LONG_CYCLE
         assert verdict.witness[0].host is g and verdict.witness[0].length >= 4
 
-    def test_tree_cycle_in_blocks_through_vertex_0(self):
+    def test_classify_runs_no_budgeted_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify called find_long_cycle")
+
+        monkeypatch.setattr(graphs, "find_long_cycle", refuse)
+        monkeypatch.setattr(dynamics, "find_long_cycle", refuse, raising=False)
+        for g in [g for n in range(1, 7) for g in enumerate_graphs(n)] + [TRAP]:
+            verdict = classify(g)
+            if verdict.witness_kind == WITNESS_LONG_CYCLE:
+                cyc, = verdict.witness
+                assert isinstance(cyc, Cycle) and cyc.host is g and cyc.length >= 4, g
+
+    def test_long_cycle_in_block_on_rooted_subgraphs(self):
         subs = []
         for g in enumerate_graphs(6):
             if all(g.degree(v) for v in range(6)) and len(blocks(g)) == 1:
@@ -112,7 +126,9 @@ class TestClassify:
         subs.append(Graph(7, k4 + [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]))
         assert len(subs) > 300
         for sub in subs:
-            assert _long_cycle_from_tree(sub).length >= 4, sub
+            block = blocks(sub)[0]
+            cyc = _long_cycle_in_block(sub, block)
+            assert cyc.length >= 4 and set(cyc.edge_ids) <= set(block), sub
 
     def test_witness_serialization(self):
         verdict = classify(BOWTIE)

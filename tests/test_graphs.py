@@ -9,14 +9,14 @@ from forestgraph import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
                          blocks, bridges, build_forest_graph, cartesian_product,
                          complete_graph, components, cycle_graph,
                          cyclomatic_number, enumerate_graphs, find_isomorphism,
-                         hamiltonian_cycle, is_bipartite, is_isomorphic,
-                         max_clique, path_graph, unique_cycle)
+                         is_bipartite, is_isomorphic, max_clique, path_graph,
+                         unique_cycle)
 from forestgraph.graphs import canonical_labeling, find_long_cycle
 
 from .oracles import (brute_force_blocks, brute_force_bridges,
                       brute_force_cycles, brute_force_isomorphic,
-                      brute_force_max_clique_size, union_find_bipartite,
-                      union_find_components)
+                      brute_force_max_clique_size, hamiltonian_cycle,
+                      union_find_bipartite, union_find_components)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
