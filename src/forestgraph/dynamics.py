@@ -74,19 +74,24 @@ class Verdict:
 def iterate_F(g, n, budget=FOREST_BUDGET):
     """Apply the forest-graph operator n times; returns the final plain graph.
 
-    Raises BudgetError annotated with the step reached and the exact forest
-    count when some iterate would exceed the budget.
+    Stops early at a fixed point: once F of the current graph equals it as a
+    labelled graph, every later step gives the same graph.  Raises
+    BudgetError annotated with the step reached and the exact forest count
+    when some iterate would exceed the budget.
     """
     if n < 0:
         raise GraphInputError("iteration count must be non-negative")
     current = g
     for step in range(1, n + 1):
         try:
-            current = build_forest_graph(current, budget).graph
+            built = build_forest_graph(current, budget).graph
         except BudgetError as err:
             raise BudgetError(
                 f"iteration stopped at step {step}: {err}",
                 count=err.count, budget=err.budget, step=step) from None
+        if built == current:
+            return built
+        current = built
     return current
 
 

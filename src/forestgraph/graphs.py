@@ -456,100 +456,82 @@ def find_long_cycle(g, min_length, node_budget=500_000):
     return None
 
 
-def _is_complete(g):
-    return len(g.edges) == g.vertex_count * (g.vertex_count - 1) // 2
-
-
-def canonical_labeling(g):
-    """Canonical edge list plus a vertex relabeling achieving it.
-
-    Complete and edgeless graphs short-circuit at any size; the generic
-    individualization-refinement search is limited to ISO_VERTEX_LIMIT
-    vertices.
-    """
-    n = g.vertex_count
-    if len(g.edges) == 0:
-        return (), tuple(range(n))
-    if _is_complete(g):
-        return tuple(itertools.combinations(range(n), 2)), tuple(range(n))
-    if n > ISO_VERTEX_LIMIT:
-        raise BudgetError(
-            f"canonical labeling limited to {ISO_VERTEX_LIMIT} vertices (got {n})",
-            count=n, budget=ISO_VERTEX_LIMIT)
-    neigh = [g.neighbors(v) for v in range(n)]
-
-    def refine(cells):
-        while True:
-            cidx = {}
-            for i, cell in enumerate(cells):
-                for v in cell:
-                    cidx[v] = i
-            out = []
-            changed = False
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
-                groups = {}
-                for v in cell:
-                    sig = [0] * len(cells)
-                    for w in neigh[v]:
-                        sig[cidx[w]] += 1
-                    groups.setdefault(tuple(sig), []).append(v)
-                if len(groups) == 1:
-                    out.append(cell)
-                else:
-                    changed = True
-                    for sig in sorted(groups):
-                        out.append(tuple(groups[sig]))
-            if not changed:
-                return out
-            cells = out
-
-    best = [None, None]
-
-    def search(cells):
-        cells = refine(cells)
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                for v in cell:
-                    search(cells[:i]
-                           + [(v,), tuple(x for x in cell if x != v)]
-                           + cells[i + 1:])
-                return
-        pos = {cell[0]: i for i, cell in enumerate(cells)}
-        edges = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges))
-        if best[0] is None or edges < best[0]:
-            best[0] = edges
-            best[1] = pos
-
-    search([tuple(range(n))])
-    return best[0], tuple(best[1][v] for v in range(n))
-
-
 def is_isomorphic(g, h) -> bool:
     return find_isomorphism(g, h) is not None
 
 
 def find_isomorphism(g, h):
-    """A vertex bijection g -> h preserving edges exactly, or None."""
-    if g.vertex_count != h.vertex_count or len(g.edges) != len(h.edges):
+    """The first vertex bijection g -> h preserving edges exactly, or None.
+
+    Edgeless and complete graphs map by the identity at any size.  Otherwise
+    the degree multisets must agree, and the search is limited to
+    ISO_VERTEX_LIMIT vertices.  It refines both graphs together: cells are
+    (g cell, h cell) pairs, and each cell splits by its vertices' multisets
+    of neighbour cells, in one order on both sides; a split that differs
+    between the sides rules the branch out.  It then maps the first vertex
+    of g's first non-singleton cell onto each vertex of h's matching cell in
+    turn, refining again, and returns the first discrete map whose edges
+    all lie in h.
+    """
+    n = g.vertex_count
+    if n != h.vertex_count or len(g.edges) != len(h.edges):
         return None
-    if sorted(g.degree(v) for v in range(g.vertex_count)) != \
-            sorted(h.degree(v) for v in range(h.vertex_count)):
+    if len(g.edges) in (0, n * (n - 1) // 2):
+        return tuple(range(n))
+    if sorted(map(len, g._adj)) != sorted(map(len, h._adj)):
         return None
-    cg, pg = canonical_labeling(g)
-    ch, ph = canonical_labeling(h)
-    if cg != ch:
+    if n > ISO_VERTEX_LIMIT:
+        raise BudgetError(f"isomorphism limited to {ISO_VERTEX_LIMIT} vertices (got {n})",
+                          count=n, budget=ISO_VERTEX_LIMIT)
+
+    def split(cell, adj, cell_of):
+        groups = {}
+        for v in cell:
+            key = tuple(sorted(cell_of[w] for w, _ in adj[v]))
+            groups.setdefault(key, []).append(v)
+        return groups
+
+    def refine(cells):
+        while True:
+            g_cell, h_cell = [0] * n, [0] * n
+            for i, (a, b) in enumerate(cells):
+                for v in a:
+                    g_cell[v] = i
+                for v in b:
+                    h_cell[v] = i
+            out = []
+            for a, b in cells:
+                ga, hb = split(a, g._adj, g_cell), split(b, h._adj, h_cell)
+                if ga.keys() != hb.keys():
+                    return None
+                for key in sorted(ga):
+                    if len(ga[key]) != len(hb[key]):
+                        return None
+                    out.append((ga[key], hb[key]))
+            if len(out) == len(cells):
+                return out
+            cells = out
+
+    def search(cells):
+        cells = refine(cells)
+        if cells is None:
+            return None
+        for i, (a, b) in enumerate(cells):
+            if len(a) > 1:
+                for w in b:
+                    found = search(cells[:i] + [([a[0]], [w]), (a[1:], [x for x in b if x != w])]
+                                   + cells[i + 1:])
+                    if found is not None:
+                        return found
+                return None
+        mapping = [0] * n
+        for (v,), (w,) in cells:
+            mapping[v] = w
+        if all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges):
+            return tuple(mapping)
         return None
-    inv_h = [0] * h.vertex_count
-    for v, p in enumerate(ph):
-        inv_h[p] = v
-    mapping = tuple(inv_h[pg[v]] for v in range(g.vertex_count))
-    for u, v in g.edges:
-        if not h.has_edge(mapping[u], mapping[v]):
-            raise AssertionError("canonical labelings disagree with edge test")
-    return mapping
+
+    return search([(list(range(n)), list(range(n)))])
 
 
 def cartesian_product(g, h) -> Graph:

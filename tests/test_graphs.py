@@ -11,7 +11,7 @@ from forestgraph import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
                          cyclomatic_number, enumerate_graphs, find_isomorphism,
                          is_bipartite, is_isomorphic, max_clique, path_graph,
                          unique_cycle)
-from forestgraph.graphs import canonical_labeling, find_long_cycle
+from forestgraph.graphs import find_long_cycle
 
 from .oracles import (brute_force_blocks, brute_force_bridges,
                       brute_force_cycles, brute_force_isomorphic,
@@ -312,23 +312,31 @@ class TestIsomorphism:
     def test_k3_vs_p3(self):
         assert not is_isomorphic(complete_graph(3), path_graph(3))
 
-    def test_canonical_respects_iso_exhaustively(self):
-        corpus = small_corpus(5)
+    def test_verdict_matches_brute_force_exhaustively(self):
         by_size = {}
-        for g in corpus:
+        for g in small_corpus(5):
             by_size.setdefault((g.vertex_count, len(g.edges)), []).append(g)
         for group in by_size.values():
             for g, h in itertools.combinations(group, 2):
-                same = canonical_labeling(g)[0] == canonical_labeling(h)[0]
-                assert same == brute_force_isomorphic(g, h), (g, h)
-                assert same == is_isomorphic(g, h)
+                assert is_isomorphic(g, h) == brute_force_isomorphic(g, h), (g, h)
 
-    def test_canonical_invariant_under_relabeling(self):
-        for g in small_corpus(4):
-            for perm in itertools.permutations(range(g.vertex_count)):
-                relabeled = Graph(g.vertex_count,
-                                  [(perm[u], perm[v]) for u, v in g.edges])
-                assert canonical_labeling(relabeled)[0] == canonical_labeling(g)[0]
+    def test_distinct_enumerated_classes_have_no_map(self):
+        # enumerate_graphs keeps one graph per S_n orbit, so no two are isomorphic
+        for n in range(1, 7):
+            for g, h in itertools.combinations(enumerate_graphs(n), 2):
+                assert find_isomorphism(g, h) is None, (g, h)
+
+    def test_random_relabelling_gets_exact_map(self):
+        rng = random.Random(12)
+        lifted = [build_forest_graph(g).graph for g in small_corpus(4)]
+        for g in small_corpus(6) + [f for f in lifted if f.vertex_count <= 12]:
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            h = Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+            mapping = find_isomorphism(g, h)
+            assert sorted(mapping) == list(range(g.vertex_count)), g
+            assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges) \
+                == list(h.edges), g
 
     def test_find_isomorphism_is_valid_map(self):
         g = cycle_graph(6)
@@ -337,14 +345,15 @@ class TestIsomorphism:
         assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges) \
             == sorted(h.edges)
 
-    def test_complete_shortcut_any_size(self):
-        assert is_isomorphic(complete_graph(40), complete_graph(40))
-        assert canonical_labeling(Graph(50, []))[0] == ()
+    def test_edgeless_and_complete_map_by_identity_any_size(self):
+        assert find_isomorphism(Graph(50, []), Graph(50, [])) == tuple(range(50))
+        assert find_isomorphism(complete_graph(40), complete_graph(40)) == tuple(range(40))
 
     def test_size_guard(self):
-        g = Graph(13, [(0, 1)])
-        with pytest.raises(BudgetError):
-            canonical_labeling(g)[0]
+        g = Graph(13, [(0, 1), (2, 3)])
+        h = Graph(13, [(0, 12), (5, 7)])
+        with pytest.raises(BudgetError, match="isomorphism limited to 12 vertices"):
+            find_isomorphism(g, h)
 
 
 class TestCartesianProduct:

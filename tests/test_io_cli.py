@@ -246,6 +246,16 @@ class TestCliGolden:
         assert code == 0
         assert out == "vertices 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
+    @pytest.mark.parametrize("text", ["0 1\n1 2\n0 2\n", "0 1\n1 2\n0 2\n2 3\n",
+                                      "vertices 1\n"])
+    def test_iterate_stops_at_fixed_point(self, capsys, text):
+        _, want, _ = run_cli(["iterate", "-", "2", "--format", "structured"], text, capsys)
+        start = time.perf_counter()
+        code, out, _ = run_cli(["iterate", "-", "1000000000", "--format", "structured"],
+                               text, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, want)
+
     def test_gen_and_depth(self, capsys):
         code, out, _ = run_cli(["gen", "complete", "4"], capsys=capsys)
         assert code == 0
@@ -338,7 +348,7 @@ class TestCliRootSearch:
         fk4 = format_edge_list(build_forest_graph(complete_graph(4)).graph)
         code, out, err = run_cli([cmd, "-"], fk4, capsys)
         assert (code, out) == (3, "")
-        assert err == "budget exceeded: canonical labeling limited to 12 vertices (got 16)\n"
+        assert err == "budget exceeded: isomorphism limited to 12 vertices (got 16)\n"
         assert orders == [1, 2, 3, 4]
 
 
