@@ -130,18 +130,20 @@ def _long_cycle_in_block(g, block) -> Cycle:
     closes a 4-cycle through its grandparent and its parent, and two vertices
     x, y two levels down close (root, x, c, y).
     """
-    inside = set(block)
+    # two blocks share at most one vertex, so the edges between the block's
+    # vertices are exactly its edges
+    inside = {x for eid in block for x in g.edges[eid]}
     root = g.edges[block[0]][0]
     parent, depth = {root: None}, {root: 0}
-    stack = [(root, iter(g.incident(root)))]
+    stack = [(root, iter(g.neighbors(root)))]
     while stack:
         v, it = stack[-1]
-        for w, eid in it:
-            if eid not in inside:
+        for w in it:
+            if w not in inside:
                 continue
             if w not in parent:
                 parent[w], depth[w] = v, depth[v] + 1
-                stack.append((w, iter(g.incident(w))))
+                stack.append((w, iter(g.neighbors(w))))
                 break
             if depth[w] <= depth[v] - 3:
                 walk = [v]

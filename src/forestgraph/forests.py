@@ -152,6 +152,9 @@ def _det_bareiss(mat):
 def _tree_count(g, block):
     """Spanning trees of one block (its edge ids) via a Laplacian cofactor."""
     verts = sorted({v for i in block for v in g.edges[i]})
+    if len(verts) == len(block):
+        # a cycle: each spanning tree drops one of its edges
+        return len(block)
     pos = {v: i for i, v in enumerate(verts[1:])}
     k = len(verts) - 1
     mat = [[0] * k for _ in range(k)]
@@ -171,9 +174,9 @@ def _tree_count(g, block):
 
 def count_maximal_forests(g) -> int:
     """Exact number of maximal forests: the product over the blocks of g of
-    each block's spanning-tree count, one Laplacian-cofactor determinant per
-    block of two or more edges (matrix-tree theorem).  Bridges and isolated
-    vertices contribute a factor of 1."""
+    each block's spanning-tree count: a cycle block's length, else one
+    Laplacian-cofactor determinant (matrix-tree theorem).  Bridges and
+    isolated vertices contribute a factor of 1."""
     total = 1
     for block in blocks(g):
         if len(block) > 1:

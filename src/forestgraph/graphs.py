@@ -60,19 +60,16 @@ class Graph:
         self.vertex_names = vertex_names
         # the edge table is sorted, so each vertex meets its smaller neighbours
         # first and in increasing order, then its larger ones: every list
-        # filled in edge order is already sorted by neighbour
+        # filled in edge order is already sorted
         adj = [[] for _ in range(vertex_count)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
 
-    def incident(self, v):
-        """Pairs (neighbor, edge index) at v, sorted by neighbor."""
-        return self._adj[v]
-
     def neighbors(self, v):
-        return tuple(w for (w, _) in self._adj[v])
+        """The sorted tuple of v's neighbours."""
+        return self._adj[v]
 
     def degree(self, v):
         return len(self._adj[v])
@@ -218,7 +215,7 @@ def _bfs(g, sources, depth, parent):
     discovering vertex), and yields each vertex as it leaves the queue, so a
     caller may stop early.  By then every vertex of its depth has been reached.
     """
-    incident = g._adj
+    adj = g._adj
     for root in sources:
         if depth[root] != -1:
             continue
@@ -227,7 +224,7 @@ def _bfs(g, sources, depth, parent):
         for v in queue:
             yield v
             d = depth[v] + 1
-            for w, _ in incident[v]:
+            for w in adj[v]:
                 if depth[w] == -1:
                     depth[w] = d
                     parent[w] = v
@@ -267,47 +264,56 @@ def blocks(g) -> list:
 
     Each block is a sorted tuple of edge ids and the blocks are ordered by
     their smallest edge id.  Bridges are the single-edge blocks; every cycle
-    lies inside one block.
+    lies inside one block.  Each edge goes to the block of its
+    later-discovered end.
     """
     n = g.vertex_count
+    adj = g._adj
     disc = [-1] * n
     low = [0] * n
-    edge_stack = []
-    out = []
+    block_of = [None] * n
+    pending = []
     timer = 0
     for root in range(n):
-        if disc[root] != -1 or not g.incident(root):
+        if disc[root] != -1 or not adj[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(g.incident(root)))]
+        stack = [(root, iter(adj[root]))]
         while stack:
-            v, pe, it = stack[-1]
-            for w, eid in it:
-                if eid == pe:
-                    continue
+            v, it = stack[-1]
+            for w in it:
                 if disc[w] == -1:
-                    edge_stack.append(eid)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, eid, iter(g.incident(w))))
+                    pending.append(w)
+                    stack.append((w, iter(adj[w])))
                     break
-                if disc[w] < disc[v]:
-                    edge_stack.append(eid)
-                    low[v] = min(low[v], disc[w])
+                # the tree edge back to the parent u may set low[v] to
+                # disc[u], which changes neither low[u] nor the test below
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
                     if low[v] >= disc[u]:
-                        # u separates v's subtree: its edges, down to pe, form a block
-                        block = [edge_stack.pop()]
-                        while block[-1] != pe:
-                            block.append(edge_stack.pop())
-                        out.append(tuple(sorted(block)))
-    out.sort()
-    return out
+                        # u separates v's subtree: the tree edges into the
+                        # vertices pending down to v form one block
+                        block = []
+                        while block_of[v] is not block:
+                            block_of[pending.pop()] = block
+    # an edge's later-discovered end is the lower end of a tree edge or of a
+    # back edge, whose cycle runs through the tree edge into that end; so one
+    # pass in edge order fills each block sorted, and meets the blocks in order
+    out = []
+    for i, (u, v) in enumerate(g.edges):
+        block = block_of[u] if disc[u] > disc[v] else block_of[v]
+        if not block:
+            out.append(block)
+        block.append(i)
+    return list(map(tuple, out))
 
 
 def bridges(g) -> EdgeSubset:
@@ -325,19 +331,14 @@ def unique_cycle(g):
     big = [block for block in blocks(g) if len(block) > 1]
     if len(big) != 1:
         return None
-    adj = {}
-    for i in big[0]:
-        u, v = g.edges[i]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if len(adj) != len(big[0]):
+    inside = {x for i in big[0] for x in g.edges[i]}
+    if len(inside) != len(big[0]):
         return None
-    # walk the cycle edges into vertex order
-    walk = [min(adj)]
-    walk.append(adj[walk[0]][0])
-    while len(walk) < len(adj):
-        a, b = adj[walk[-1]]
-        walk.append(b if a == walk[-2] else a)
+    # walk the cycle into vertex order; two blocks share at most one vertex,
+    # so the edges between the block's vertices are exactly its edges
+    walk = [min(inside)]
+    while len(walk) < len(inside):
+        walk.append(next(w for w in g.neighbors(walk[-1]) if w in inside and w not in walk[-2:]))
     return Cycle(g, walk)
 
 
@@ -351,7 +352,7 @@ def is_bipartite(g) -> BipartiteReport:
     depth = [-1] * n
     parent = [-1] * n
     for v in _bfs(g, range(n), depth, parent):
-        for w, _ in g.incident(v):
+        for w in g._adj[v]:
             if depth[w] == depth[v]:
                 # climb from both ends to their first common ancestor
                 left, right = [v], [w]
@@ -428,7 +429,7 @@ def find_long_cycle(g, min_length, node_budget=500_000):
     """
     if min_length < 3:
         raise GraphInputError("cycles have length at least 3")
-    adj = [g.neighbors(v) for v in range(g.vertex_count)]
+    adj = g._adj
     nodes = 0
     for s in range(g.vertex_count):
         stack = [(s, iter(adj[s]))]
@@ -487,7 +488,7 @@ def find_isomorphism(g, h):
     def split(cell, adj, cell_of):
         groups = {}
         for v in cell:
-            key = tuple(sorted(cell_of[w] for w, _ in adj[v]))
+            key = tuple(sorted(cell_of[w] for w in adj[v]))
             groups.setdefault(key, []).append(v)
         return groups
 

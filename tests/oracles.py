@@ -128,16 +128,26 @@ def brute_force_max_clique_size(g) -> int:
     return best
 
 
+def neighbour_tuples(g) -> list:
+    """Each vertex's sorted neighbours, read off g.edges alone."""
+    adj = [set() for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [tuple(sorted(a)) for a in adj]
+
+
 def brute_force_bridges(g) -> set:
     """Edge indices whose removal disconnects their endpoints."""
+    adj = neighbour_tuples(g)
     out = set()
     for i, (u, v) in enumerate(g.edges):
         seen = {u}
         queue = [u]
         while queue:
             x = queue.pop()
-            for y, eid in g.incident(x):
-                if eid != i and y not in seen:
+            for y in adj[x]:
+                if {x, y} != {u, v} and y not in seen:
                     seen.add(y)
                     queue.append(y)
         if v not in seen:
@@ -178,6 +188,7 @@ def bucket_join_edges(family_bits) -> tuple:
 
 
 def bfs_distances(g, src) -> list:
+    adj = neighbour_tuples(g)
     dist = [-1] * g.vertex_count
     dist[src] = 0
     queue = [src]
@@ -185,7 +196,7 @@ def bfs_distances(g, src) -> list:
     while qi < len(queue):
         v = queue[qi]
         qi += 1
-        for w, _ in g.incident(v):
+        for w in adj[v]:
             if dist[w] == -1:
                 dist[w] = dist[v] + 1
                 queue.append(w)

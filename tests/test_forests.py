@@ -8,6 +8,7 @@ from forestgraph import (BudgetError, EdgeSubset, Graph, GraphInputError,
                          count_maximal_forests, cycle_graph, cyclomatic_number,
                          enumerate_graphs, exchange_path, extend_to_maximal,
                          maximal_forests, path_graph)
+from forestgraph.forests import _det_bareiss
 
 from .oracles import dc_spanning_trees
 
@@ -37,6 +38,17 @@ class TestCount:
 
     def test_k5(self):
         assert count_maximal_forests(complete_graph(5)) == 125
+
+    def test_cycle_blocks_agree_with_the_determinant(self):
+        for n in range(3, 41):
+            # the Laplacian of C_n without vertex 0
+            cofactor = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n - 1)]
+                        for i in range(n - 1)]
+            assert count_maximal_forests(cycle_graph(n)) == _det_bareiss(cofactor) == n
+        # a C_5 and a K_4 block sharing vertex 4: one count by each path
+        g = Graph(8, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(u, v) for u in (4, 5, 6, 7) for v in (4, 5, 6, 7) if u < v])
+        assert count_maximal_forests(g) == 5 * 16
 
     def test_k5_minus_edge(self):
         g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)

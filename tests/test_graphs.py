@@ -66,9 +66,9 @@ class TestConstructionOracle:
         edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
         ids = {e: i for i, e in enumerate(edges)}
         adj = [[] for _ in range(n)]
-        for (u, v), i in ids.items():
-            adj[u].append((v, i))
-            adj[v].append((u, i))
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         return tuple(edges), [tuple(sorted(a)) for a in adj], ids
 
     def test_matches_oracle(self):
@@ -85,7 +85,7 @@ class TestConstructionOracle:
                 h = Graph(n, edges)
                 want_edges, want_adj, want_ids = self.oracle(n, edges)
                 assert h.edges == want_edges
-                assert [h.incident(v) for v in range(n)] == want_adj
+                assert [h.neighbors(v) for v in range(n)] == want_adj
                 # -1 and n sort before the first edge and after the last
                 for a in range(-1, n + 1):
                     for b in range(-1, n + 1):
@@ -168,6 +168,58 @@ class TestBlocks:
             assert got == sorted(got) and all(list(b) == sorted(b) for b in got)
             assert {frozenset(b) for b in got} == brute_force_blocks(g), g
             assert sum(len(b) for b in got) == len(g.edges)
+
+    SHAPES = [list(itertools.combinations(range(3), 2)),
+              *([(i, (i + 1) % k) for i in range(k)] for k in (4, 5, 6)),
+              list(itertools.combinations(range(4), 2))]
+
+    @classmethod
+    def glued(cls, rng):
+        """K_3, C_4-C_6 and K_4 blocks glued at cut vertices or hung from
+        bridges, in several components with isolated vertices between them.
+        Returns the vertex count and the blocks as lists of edges."""
+        n, found = 0, []
+        for _ in range(rng.randint(2, 4)):
+            n += rng.randint(0, 2)
+            members = [n]
+            n += 1
+            for step in range(rng.randint(2, 7)):
+                at = rng.choice(members)
+                if step and rng.random() < 0.3:
+                    found.append([(at, n)])
+                    members.append(n)
+                    at, n = n, n + 1
+                    if rng.random() < 0.5:
+                        continue
+                shape = rng.choice(cls.SHAPES)
+                names = [at] + list(range(n, n + max(map(max, shape))))
+                n += len(names) - 1
+                members += names[1:]
+                found.append([(names[u], names[v]) for u, v in shape])
+        return n + rng.randint(0, 2), found
+
+    def test_glued_blocks_relabelled_and_shuffled(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            n, found = self.glued(rng)
+            cut = next(v for v in range(n)
+                       if sum(v in {x for e in b for x in e} for b in found) > 1)
+            label = list(range(n))
+            rng.shuffle(label)
+            # the smallest label goes to a cut vertex, so that DFS starts there
+            zero = label.index(0)
+            label[zero], label[cut] = label[cut], 0
+            found = [[(label[u], label[v]) for u, v in b] for b in found]
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for b in found for u, v in b]
+            rng.shuffle(pairs)
+            g = Graph(n, pairs)
+            want = sorted(tuple(sorted(g.edge_index(u, v) for u, v in b)) for b in found)
+            assert blocks(g) == want
+            assert len({b for b in want if any(0 in g.edges[i] for i in b)}) > 1
+
+    def test_deep_path_and_cycle(self):
+        assert blocks(path_graph(5000)) == [(i,) for i in range(4999)]
+        assert blocks(cycle_graph(5000)) == [tuple(range(5000))]
 
 
 class TestCycles:

@@ -168,6 +168,13 @@ class TestCliGolden:
         code, out, _ = run_cli(["count", str(path)], capsys=capsys)
         assert code == 0 and out == "125\n"
 
+    def test_count_long_cycle_takes_no_determinant(self, capsys):
+        text = format_edge_list(cycle_graph(2000))
+        start = time.perf_counter()
+        code, out, _ = run_cli(["count", "-"], text, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "2000\n")
+
     def test_classify_bowtie_human(self, capsys):
         code, out, _ = run_cli(["classify", "-"], BOWTIE_TEXT, capsys)
         assert code == 0
