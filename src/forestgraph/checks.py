@@ -118,15 +118,48 @@ def divergence_growth_evidence(g, fg, exact_cap=EXACT_GROWTH_CAP):
 
 
 def divergence_bigger_clique(g, fg):
-    """A verified clique witness in F^2(g) strictly larger than any clique of g."""
-    omega = len(graphs.max_clique(g))
-    ring = graphs.find_long_cycle(fg.graph, omega + 1)
+    """A verified clique witness in F^2(g) strictly larger than any clique of g,
+    lifted from the ring of `_bigger_clique_ring` checked edge by edge in F(g)."""
+    clique = graphs.max_clique(g)
+    ring = _bigger_clique_ring(g, clique)
     if ring is None:
         return None
+    ring = graphs.Cycle(fg.graph, [fg.forest_index(f) for f in ring])
     witness = dynamics.clique_witness_from_cycle(fg.graph, ring)
-    if not witness.verify() or witness.size <= omega:
+    if not witness.verify() or witness.size <= len(clique):
         return None
     return witness
+
+
+def _bigger_clique_ring(g, clique):
+    """Maximal forests of g, each one exchange from the next and the last from
+    the first, more of them than the vertices of `clique`, a maximum clique
+    of g; None when g converges.  Built, not searched for: with clique
+    v_1 < ... < v_w and w >= 4, the pairwise adjacent forests of its cycle
+    v_1 ... v_w, each cutting one cycle edge, run from the one cutting v_w v_1
+    to the one cutting v_2 v_3, and the forest cutting both and taking the
+    chord v_1 v_3 closes the ring.  With w <= 3 the divergence witness of
+    `classify` gives it: a long cycle's forests, or two triangles' nine
+    forests walked along `GRID_CYCLE`.
+    """
+    if len(clique) >= 4:
+        cycle = graphs.Cycle(g, clique)
+        # clique_witness_from_cycle lists its forests by cut edge, in id order
+        cut = dict(zip(sorted(cycle.edge_ids),
+                       dynamics.clique_witness_from_cycle(g, cycle).forests))
+        first = cut.pop(g.edge_index(clique[0], clique[-1]))
+        last_edge = g.edge_index(clique[1], clique[2])
+        last = cut.pop(last_edge)
+        chord = first.bits ^ (1 << last_edge) | (1 << g.edge_index(clique[0], clique[2]))
+        return [forests.MaximalForest(g, graphs.EdgeSubset(g, chord)), first,
+                *cut.values(), last]
+    verdict = dynamics.classify(g)
+    if verdict.status != dynamics.DIVERGENT:
+        return None
+    if verdict.witness_kind == dynamics.WITNESS_LONG_CYCLE:
+        return list(dynamics.clique_witness_from_cycle(g, verdict.witness[0]).forests)
+    grid = dynamics.clique_witness_from_two_triangles(g, *verdict.witness).forests
+    return [grid[i] for i in dynamics.GRID_CYCLE]
 
 
 def check_convergence(max_n=5, budget=forests.FOREST_BUDGET):

@@ -24,12 +24,14 @@ class MaximalForest:
 
     def __init__(self, host, edges):
         subset = _edge_subset(host, edges)
-        # every maximal forest has the same size: the rank of host's cycle matroid
-        want = len(extend_to_maximal(host, ()).edges)
-        if len(subset) != want:
-            raise GraphInputError(
-                f"not a maximal forest: {len(subset)} edges, expected {want}")
-        if _forest_parents(host, subset.bits) is None:
+        parent = _forest_parents(host, subset.bits)
+        # maximal: acyclic, and every edge of host joins two vertices it connects
+        if parent is None or any(_find(parent, u) != _find(parent, v) for u, v in host.edges):
+            # every maximal forest has the same size: the rank of host's cycle matroid
+            want = host.vertex_count - len(components(host))
+            if len(subset) != want:
+                raise GraphInputError(
+                    f"not a maximal forest: {len(subset)} edges, expected {want}")
             raise GraphInputError("not a forest: edge set contains a cycle")
         self.host = host
         self.edges = subset
@@ -185,12 +187,14 @@ def count_maximal_forests(g) -> int:
 
 
 def _spanning_trees(g, block):
-    """Bitmasks of all spanning trees of one block, given as its edge ids.
-
-    Include/exclude branching over the block's edges in index order, with
-    an exclude branch taken only while the undecided edges can still span.
-    """
+    """Bitmasks of all spanning trees of one block, given as its edge ids: a
+    cycle block's trees each drop one edge; any other block branches on its
+    edges in index order on an explicit stack, excluding an edge only while
+    the undecided edges can still span."""
     verts = {v for i in block for v in g.edges[i]}
+    if len(verts) == len(block):
+        full = sum(1 << i for i in block)
+        return [full ^ (1 << i) for i in block]
     need = len(verts) - 1
     out = []
 
@@ -206,25 +210,22 @@ def _spanning_trees(g, block):
                     return True
         return pieces == 1
 
-    def rec(idx, parent, chosen):
-        if len(chosen) == need:
-            out.append(sum(1 << i for i in chosen))
-            return
-        if idx == len(block):
-            return
-        eid = block[idx]
-        u, v = g.edges[eid]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            child = dict(parent)
-            child[ru] = rv
-            chosen.append(eid)
-            rec(idx + 1, child, chosen)
-            chosen.pop()
-        if spannable(parent, len(verts) - len(chosen), idx + 1):
-            rec(idx + 1, parent, chosen)
-
-    rec(0, {v: v for v in verts}, [])
+    # (next edge position, union-find parents, chosen edge bits, chosen count)
+    stack = [(0, {v: v for v in verts}, 0, 0)]
+    while stack:
+        idx, parent, bits, size = stack.pop()
+        if size == need:
+            out.append(bits)
+        elif idx < len(block):
+            if spannable(parent, len(verts) - size, idx + 1):
+                stack.append((idx + 1, parent, bits, size))
+            eid = block[idx]
+            u, v = g.edges[eid]
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru != rv:
+                child = dict(parent)
+                child[ru] = rv
+                stack.append((idx + 1, child, bits | 1 << eid, size + 1))
     return out
 
 

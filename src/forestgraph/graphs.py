@@ -421,42 +421,6 @@ def max_clique(g) -> tuple:
     return tuple(v for v in range(n) if best_bits >> v & 1)
 
 
-def find_long_cycle(g, min_length, node_budget=500_000):
-    """First simple cycle of at least min_length found by depth-first search.
-
-    Returns None when the budget runs out or no such cycle exists; dense
-    graphs (forest graphs in particular) find one almost immediately.
-    """
-    if min_length < 3:
-        raise GraphInputError("cycles have length at least 3")
-    adj = g._adj
-    nodes = 0
-    for s in range(g.vertex_count):
-        stack = [(s, iter(adj[s]))]
-        path = [s]
-        onpath = {s}
-        while stack:
-            nodes += 1
-            if nodes > node_budget:
-                return None
-            v, it = stack[-1]
-            pushed = False
-            for w in it:
-                if w == s and len(path) >= min_length and path[1] < path[-1]:
-                    return Cycle(g, tuple(path))
-                if w > s and w not in onpath:
-                    path.append(w)
-                    onpath.add(w)
-                    stack.append((w, iter(adj[w])))
-                    pushed = True
-                    break
-            if not pushed:
-                stack.pop()
-                onpath.discard(v)
-                path.pop()
-    return None
-
-
 def is_isomorphic(g, h) -> bool:
     return find_isomorphism(g, h) is not None
 

@@ -222,6 +222,19 @@ def test_every_subcommand_digest(small_inputs, monkeypatch):
     assert elapsed < 5
 
 
+# `verify` at its default --max-n 5, recorded from the code before its
+# bigger-clique check built its ring in F(g) instead of searching for one
+VERIFY_DIGESTS = {
+    "human": "ad5536e29d1b38e6a4d2eba5262ad2253c7a5395a81d267484a8d56a24c98dae",
+    "structured": "c1d55541545d1e3e920388a3fc3103104cded81d67761b67916a3ab84190db69",
+}
+
+
+@pytest.mark.parametrize("fmt", list(VERIFY_DIGESTS))
+def test_verify_digest(fmt):
+    assert _digest_calls([(["verify", "--format", fmt], "")]) == VERIFY_DIGESTS[fmt]
+
+
 def test_main_builds_no_parser(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("main built an argument parser")

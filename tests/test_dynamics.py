@@ -17,7 +17,8 @@ from forestgraph.dynamics import (CONVERGENT, DIVERGENT, GRID_CYCLE,
                                   WITNESS_LONG_CYCLE, WITNESS_TWO_TRIANGLES,
                                   _long_cycle_in_block)
 from forestgraph import dynamics, forest_graph, graphs, roots
-from forestgraph.graphs import find_long_cycle
+from forestgraph.checks import _bigger_clique_ring, divergence_bigger_clique
+from forestgraph.forests import MaximalForest
 
 from .oracles import brute_force_cycles, brute_force_isomorphic
 
@@ -92,21 +93,23 @@ class TestClassify:
         assert verdict.witness[0].length >= 4
 
     def test_long_cycle_when_search_budget_runs_out(self):
-        # one block: find_long_cycle's search from 0 enters the clique on
-        # 2..20 through 2 and must try every path there before it leaves
-        # through 21, so its budget runs out; classify searches nothing
+        # one block: a depth-first search for a long cycle from 0 enters the
+        # clique on 2..20 through 2 and must try every path there before it
+        # leaves through 21, so a budgeted search runs out; classify searches
+        # nothing
         g = TRAP
-        assert find_long_cycle(g, 4) is None
         verdict = classify(g)
         assert verdict.witness_kind == WITNESS_LONG_CYCLE
         assert verdict.witness[0].host is g and verdict.witness[0].length >= 4
 
     def test_classify_runs_no_budgeted_search(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("classify called find_long_cycle")
+            raise AssertionError("classify ran a search")
 
-        monkeypatch.setattr(graphs, "find_long_cycle", refuse)
-        monkeypatch.setattr(dynamics, "find_long_cycle", refuse, raising=False)
+        # the budgeted searches left in graphs
+        for module, name in ((graphs, "max_clique"), (graphs, "find_isomorphism"),
+                             (dynamics, "is_isomorphic")):
+            monkeypatch.setattr(module, name, refuse)
         for g in [g for n in range(1, 7) for g in enumerate_graphs(n)] + [TRAP]:
             verdict = classify(g)
             if verdict.witness_kind == WITNESS_LONG_CYCLE:
@@ -330,3 +333,37 @@ class TestCliqueGrowth:
         with pytest.raises(BudgetError) as info:
             verify_clique_growth(cycle_graph(5), 3, budget=100)
         assert info.value.step == 3
+
+
+class TestBiggerClique:
+    """The ring behind `divergence_bigger_clique` is built from g."""
+
+    @pytest.mark.parametrize("g, size", [
+        (complete_graph(4), 5),  # closed by the chord forest
+        (complete_graph(5), 6),
+        (cycle_graph(5), 5),
+        (Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 4),  # K_4 - e
+        (BOWTIE, 9),
+    ], ids=["K4", "K5", "C5", "K4-e", "bowtie"])
+    def test_witness_size(self, g, size):
+        witness = divergence_bigger_clique(g, build_forest_graph(g))
+        assert witness.size == size and witness.verify()
+
+    def test_ring_forests_adjacent_in_forest_graph(self):
+        divergent = 0
+        for g in [g for n in range(1, 7) for g in enumerate_graphs(n)]:
+            clique = graphs.max_clique(g)
+            ring = _bigger_clique_ring(g, clique)
+            if classify(g).status == CONVERGENT:
+                assert ring is None, g
+                continue
+            divergent += 1
+            assert len(ring) > len(clique), g
+            fg = build_forest_graph(g)
+            ids = [fg.forest_index(MaximalForest(g, f.edges)) for f in ring]
+            assert len(set(ids)) == len(ids), g
+            assert all(fg.graph.has_edge(a, b) for a, b in zip(ids, ids[1:] + ids[:1])), g
+        assert divergent == 142
+
+    def test_no_long_cycle_search_left(self):
+        assert [name for name in dir(graphs) if "long_cycle" in name] == []

@@ -1,5 +1,9 @@
 """Forest counting and enumeration against the deletion-contraction oracle."""
 
+import inspect
+import sys
+import time
+
 import pytest
 
 from forestgraph import (BudgetError, EdgeSubset, Graph, GraphInputError,
@@ -123,6 +127,27 @@ class TestEnumeration:
             for f in family:
                 shared &= f.bits
             assert shared == bridges(g).bits
+
+    def test_cycle_block_trees_drop_one_edge_each(self):
+        start = time.perf_counter()
+        family = maximal_forests(cycle_graph(400))
+        assert time.perf_counter() - start < 1
+        full = (1 << 400) - 1
+        assert [f.bits for f in family] == [full ^ (1 << i) for i in reversed(range(400))]
+
+    def test_block_enumeration_recurses_no_deeper_than_its_caller(self):
+        # C_120 with the chord 0-2: one 121-edge block that is not a cycle
+        g = Graph(120, list(cycle_graph(120).edges) + [(0, 2)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            family = maximal_forests(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        # theta graph with paths of 1, 2 and 118 edges: 1*2 + 2*118 + 118*1
+        assert len(family) == 356
+        for f in family:
+            MaximalForest(g, f.edges)
 
     def test_budget_carries_exact_count(self):
         with pytest.raises(BudgetError) as info:

@@ -11,7 +11,6 @@ from forestgraph import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
                          cyclomatic_number, enumerate_graphs, find_isomorphism,
                          is_bipartite, is_isomorphic, max_clique, path_graph,
                          unique_cycle)
-from forestgraph.graphs import find_long_cycle
 
 from .oracles import (brute_force_blocks, brute_force_bridges,
                       brute_force_cycles, brute_force_isomorphic,
@@ -246,14 +245,6 @@ class TestCycles:
             Cycle(complete_graph(4), (0, 1))
         with pytest.raises(GraphInputError):
             Cycle(complete_graph(4), (0, 1, 2, 1))
-
-    def test_find_long_cycle(self):
-        g = complete_graph(5)
-        cyc = find_long_cycle(g, 5)
-        assert cyc.length >= 5
-        assert find_long_cycle(cycle_graph(4), 5) is None
-        with pytest.raises(GraphInputError):
-            find_long_cycle(g, 2)
 
 
 class TestBipartite:

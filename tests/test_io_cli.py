@@ -175,6 +175,11 @@ class TestCliGolden:
         assert time.perf_counter() - start < 1
         assert (code, out) == (0, "2000\n")
 
+    def test_forests_long_cycle(self, capsys):
+        code, out, _ = run_cli(["forests", "-"], format_edge_list(cycle_graph(1100)), capsys)
+        lines = out.splitlines()
+        assert (code, lines[0], len(lines)) == (0, "1100 maximal forests", 1101)
+
     def test_classify_bowtie_human(self, capsys):
         code, out, _ = run_cli(["classify", "-"], BOWTIE_TEXT, capsys)
         assert code == 0
