@@ -17,7 +17,7 @@ from .forest_graph import (ConnectivityReport, ForestGraph, build_forest_graph,
                            forest_distance)
 from .forests import (ForestFamily, MaximalForest, brute_force_maximal_forests,
                       count_maximal_forests, extend_to_maximal, maximal_forests)
-from .graphs import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
+from .graphs import (BudgetError, Cycle, Graph, GraphInputError,
                      blocks, bridges, cartesian_product,
                      complete_graph, components, cycle_graph, cyclomatic_number,
                      find_isomorphism, is_bipartite,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "CliqueWitness", "ConnectivityReport", "Cycle",
-    "DepthReport", "EdgeSubset", "ForestFamily", "ForestGraph", "Graph",
+    "DepthReport", "ForestFamily", "ForestGraph", "Graph",
     "GraphInputError", "GrowthReport", "GrowthStep", "MaximalForest",
     "NoRootCertificate", "ParseError", "RootChainCertificate",
     "RootSearchResult", "Verdict", "WhitneyResult", "blocks", "bridges",

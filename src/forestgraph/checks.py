@@ -83,11 +83,12 @@ def check_forest_graph_shape(max_n=5):
             if graphs.bridges(graph):
                 return CheckResult("forest-graph-shape", False, f"F({g!r}) has an isthmus")
         for i, forest in enumerate(fg.family):
-            tree = graphs.Graph(g.vertex_count, [g.edges[eid] for eid in forest.edge_ids()])
+            tree = graphs.Graph(g.vertex_count, forest.pairs())
             # every non-forest edge closes exactly one cycle with the forest,
             # one edge longer than the forest path between its ends
+            outside = forest.bits ^ ((1 << len(g.edges)) - 1)
             expected = sum(graphs._distances(tree, u)[v]
-                           for eid, (u, v) in enumerate(g.edges) if eid not in forest.edges)
+                           for u, v in map(g.edges.__getitem__, graphs._ids(outside)))
             if graph.degree(i) != expected:
                 return CheckResult("forest-graph-shape", False,
                                    f"degree formula fails on {g!r} forest {i}")
@@ -151,7 +152,7 @@ def _bigger_clique_ring(g, clique):
         last_edge = g.edge_index(clique[1], clique[2])
         last = cut.pop(last_edge)
         chord = first.bits ^ (1 << last_edge) | (1 << g.edge_index(clique[0], clique[2]))
-        return [forests.MaximalForest(g, graphs.EdgeSubset(g, chord)), first,
+        return [forests.MaximalForest(g, chord), first,
                 *cut.values(), last]
     verdict = dynamics.classify(g)
     if verdict.status != dynamics.DIVERGENT:

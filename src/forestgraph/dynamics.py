@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
 from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, extend_to_maximal
-from .graphs import BudgetError, Cycle, EdgeSubset, GraphInputError, blocks, is_isomorphic
+from .graphs import BudgetError, Cycle, GraphInputError, blocks, is_isomorphic
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -222,9 +222,9 @@ def clique_witness_from_cycle(g, cycle) -> CliqueWitness:
         raise GraphInputError("cycle does not belong to the given graph")
     edge_ids = sorted(cycle.edge_ids)
     cyc_bits = cycle.edge_bits()
-    base = extend_to_maximal(g, EdgeSubset(g, cyc_bits ^ (1 << edge_ids[0])))
+    base = extend_to_maximal(g, cyc_bits ^ (1 << edge_ids[0]))
     outside = base.bits & ~cyc_bits
-    forests = tuple(MaximalForest(g, EdgeSubset(g, outside | (cyc_bits ^ (1 << eid))))
+    forests = tuple(MaximalForest(g, outside | (cyc_bits ^ (1 << eid)))
                     for eid in edge_ids)
     return CliqueWitness(g, CLIQUE_FROM_CYCLE, forests)
 
@@ -253,7 +253,7 @@ def clique_witness_from_complete(g, vertices) -> CliqueWitness:
     for i in range(half):
         for j in range(half, len(vs)):
             swap = g.edge_index(vs[i], vs[j])
-            forests.append(MaximalForest(g, EdgeSubset(g, without_mid | (1 << swap))))
+            forests.append(MaximalForest(g, without_mid | (1 << swap)))
     return CliqueWitness(g, CLIQUE_FROM_COMPLETE, tuple(forests))
 
 
@@ -269,13 +269,13 @@ def clique_witness_from_two_triangles(g, t1, t2) -> CliqueWitness:
     e1 = sorted(t1.edge_ids)
     e2 = sorted(t2.edge_ids)
     union = t1.edge_bits() | t2.edge_bits()
-    first = extend_to_maximal(g, EdgeSubset(g, union ^ (1 << e1[0]) ^ (1 << e2[0])))
+    first = extend_to_maximal(g, union ^ (1 << e1[0]) ^ (1 << e2[0]))
     outside = first.bits & ~union
     forests = []
     for i in e1:
         for j in e2:
             bits = outside | (union ^ (1 << i) ^ (1 << j))
-            forests.append(MaximalForest(g, EdgeSubset(g, bits)))
+            forests.append(MaximalForest(g, bits))
     return CliqueWitness(g, TRIANGLE_PAIR_GRID, tuple(forests), grid_shape=(3, 3))
 
 

@@ -12,7 +12,7 @@ import itertools
 from collections import namedtuple
 
 from .forests import FOREST_BUDGET, _find, _forest_parents, _trusted_forest, maximal_forests
-from .graphs import Graph, GraphInputError, _distances, blocks
+from .graphs import Graph, GraphInputError, _distances, _ids, _mask, blocks
 
 
 class ForestGraph:
@@ -43,7 +43,8 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     contributing K_1: two maximal forests are one exchange apart exactly when
     they agree outside one block and their trees of that block are one
     exchange apart.  Each block's trees are the family's restrictions to the
-    block's edges, so the bucket join runs over those trees alone.  Each
+    block's edges, so the bucket join runs over those trees alone; a cycle
+    block's trees are pairwise one exchange apart and need no join.  Each
     product edge is then mapped to family indices by `family_index`, one
     permutation from product positions to the family's order.
     """
@@ -55,20 +56,23 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     positions = [0] * len(members)
     for block in blocks(g):
         if len(block) > 1:
-            mask = sum(1 << i for i in block)
+            mask = _mask(block, len(g.edges))
             trees = {}
             coords = [trees.setdefault(bits & mask, len(trees)) for bits in members]
             positions = [p * len(trees) + c for p, c in zip(positions, coords)]
-            per_block.append(list(trees))
+            if len({v for i in block for v in g.edges[i]}) == len(block):
+                # a cycle: each tree drops one edge, so all are one exchange apart
+                per_block.append((len(trees), [range(len(trees))]))
+            else:
+                per_block.append((len(trees), _exchange_cliques(list(trees))))
     family_index = [0] * len(members)
     for i, p in enumerate(positions):
         family_index[p] = i
     edges = []
     stride = len(family_index)
-    for trees in per_block:
+    for count, cliques in per_block:
         span = stride
-        stride //= len(trees)
-        cliques = _exchange_cliques(trees)
+        stride //= count
         for top in range(0, len(family_index), span):
             for p in range(top, top + stride):
                 # the family indices of this block's trees, the other blocks fixed
@@ -87,12 +91,9 @@ def _exchange_cliques(trees):
     edge each way.
     """
     buckets = {}
-    for i, bits in enumerate(trees):
-        b = bits
-        while b:
-            lsb = b & -b
-            b ^= lsb
-            buckets.setdefault(bits ^ lsb, []).append(i)
+    for t, bits in enumerate(trees):
+        for i in _ids(bits):
+            buckets.setdefault(bits ^ 1 << i, []).append(t)
     return [group for group in buckets.values() if len(group) > 1]
 
 
@@ -124,13 +125,10 @@ def exchange_path(g, f1, f2) -> list:
         # every other tree of cut spans a whole component of g, so an edge of
         # f1 joining two trees of cut joins the two pieces
         parent = _forest_parents(g, cut)
-        b = target & ~current
-        while b:
-            lsb = b & -b
-            b ^= lsb
-            x, y = g.edges[lsb.bit_length() - 1]
+        for i in _ids(target & ~current):
+            x, y = g.edges[i]
             if _find(parent, x) != _find(parent, y):
-                current = cut | lsb
+                current = cut | 1 << i
                 break
         else:
             raise AssertionError("no reconnecting edge found; inputs were not maximal forests")

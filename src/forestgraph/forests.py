@@ -10,41 +10,38 @@ enumeration refuses to start when the exact count exceeds the caller's budget.
 
 from __future__ import annotations
 
-from .graphs import BudgetError, EdgeSubset, GraphInputError, blocks, components
+from .graphs import BudgetError, GraphInputError, _ids, _mask, blocks, components
 
 FOREST_BUDGET = 10**6
 BRUTE_FORCE_EDGE_LIMIT = 20
 
 
 class MaximalForest:
-    """A maximal spanning forest of a host graph, validated on construction
-    (forests the package builds maximal come from `_trusted_forest`, unchecked)."""
+    """A maximal spanning forest of a host graph, as a bitmask over its edge
+    ids, validated on construction (forests the package builds maximal come
+    from `_trusted_forest`, unchecked)."""
 
-    __slots__ = ("host", "edges")
+    __slots__ = ("host", "bits")
 
     def __init__(self, host, edges):
-        subset = _edge_subset(host, edges)
-        parent = _forest_parents(host, subset.bits)
+        bits = _bits(host, edges)
+        parent = _forest_parents(host, bits)
         # maximal: acyclic, and every edge of host joins two vertices it connects
         if parent is None or any(_find(parent, u) != _find(parent, v) for u, v in host.edges):
             # every maximal forest has the same size: the rank of host's cycle matroid
             want = host.vertex_count - len(components(host))
-            if len(subset) != want:
+            if bits.bit_count() != want:
                 raise GraphInputError(
-                    f"not a maximal forest: {len(subset)} edges, expected {want}")
+                    f"not a maximal forest: {bits.bit_count()} edges, expected {want}")
             raise GraphInputError("not a forest: edge set contains a cycle")
         self.host = host
-        self.edges = subset
-
-    @property
-    def bits(self):
-        return self.edges.bits
+        self.bits = bits
 
     def edge_ids(self):
-        return self.edges.ids()
+        return _ids(self.bits)
 
     def pairs(self):
-        return self.edges.pairs()
+        return tuple(map(self.host.edges.__getitem__, _ids(self.bits)))
 
     def __eq__(self, other):
         return (isinstance(other, MaximalForest) and self.bits == other.bits
@@ -87,17 +84,17 @@ def _trusted_forest(host, bits) -> MaximalForest:
     """A MaximalForest from bits already known to form one, unchecked."""
     forest = MaximalForest.__new__(MaximalForest)
     forest.host = host
-    forest.edges = EdgeSubset(host, bits)
+    forest.bits = bits
     return forest
 
 
-def _edge_subset(host, edges) -> EdgeSubset:
-    """`edges`, an EdgeSubset of host or a sequence of its edge ids, as a subset."""
-    if isinstance(edges, EdgeSubset):
-        if edges.host is not host and edges.host != host:
-            raise GraphInputError("edge subset belongs to a different graph")
-        return EdgeSubset(host, edges.bits)
-    return EdgeSubset.from_ids(host, edges)
+def _bits(host, edges):
+    """`edges`, a bitmask over host's edge ids or a sequence of them, as a bitmask."""
+    if isinstance(edges, int):
+        if edges < 0 or edges >> len(host.edges):
+            raise GraphInputError("edge subset bits outside the host edge table")
+        return edges
+    return _mask(edges, len(host.edges))
 
 
 def _find(parent, x):
@@ -111,11 +108,9 @@ def _forest_parents(g, bits):
     """Union-find parents after joining the endpoints of every edge in bits,
     or None when one of those edges closes a cycle."""
     parent = list(range(g.vertex_count))
-    b = bits
-    while b:
-        lsb = b & -b
-        b ^= lsb
-        u, v = g.edges[lsb.bit_length() - 1]
+    edges = g.edges
+    for i in _ids(bits):
+        u, v = edges[i]
         ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             return None
@@ -193,7 +188,7 @@ def _spanning_trees(g, block):
     the undecided edges can still span."""
     verts = {v for i in block for v in g.edges[i]}
     if len(verts) == len(block):
-        full = sum(1 << i for i in block)
+        full = _mask(block, len(g.edges))
         return [full ^ (1 << i) for i in block]
     need = len(verts) - 1
     out = []
@@ -259,16 +254,17 @@ def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
 
 def extend_to_maximal(g, partial) -> MaximalForest:
     """Grow an acyclic edge set to a maximal forest greedily in index order."""
-    bits = _edge_subset(g, partial).bits
+    bits = _bits(g, partial)
     parent = _forest_parents(g, bits)
     if parent is None:
         raise GraphInputError("partial edge set already contains a cycle")
+    added = []
     for i, (u, v) in enumerate(g.edges):
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
-            bits |= 1 << i
-    return _trusted_forest(g, bits)
+            added.append(i)
+    return _trusted_forest(g, bits | _mask(added, len(g.edges)))
 
 
 def brute_force_maximal_forests(g) -> list:
@@ -283,5 +279,5 @@ def brute_force_maximal_forests(g) -> list:
     for bits in range(1 << m):
         if bits.bit_count() == want and _forest_parents(g, bits) is not None:
             found.append(bits)
-    found.sort(key=lambda b: tuple(i for i in range(m) if b >> i & 1))
-    return [MaximalForest(g, EdgeSubset(g, b)) for b in found]
+    found.sort(key=_ids)
+    return [MaximalForest(g, b) for b in found]

@@ -114,53 +114,26 @@ def path_graph(n) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-class EdgeSubset:
-    """Subset of a host graph's edges as a bitmask over edge indices."""
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 
-    __slots__ = ("host", "bits")
 
-    def __init__(self, host, bits=0):
-        if bits < 0 or bits >> len(host.edges):
-            raise GraphInputError("edge subset bits outside the host edge table")
-        self.host = host
-        self.bits = bits
+def _ids(bits):
+    """The positions of the set bits of a non-negative int, ascending, in time
+    linear in its width: its binary digits, read from the low end."""
+    return tuple(itertools.compress(itertools.count(),
+                                    bin(bits)[:1:-1].encode().translate(_BIT_OF_DIGIT)))
 
-    @classmethod
-    def from_ids(cls, host, ids):
-        bits = 0
-        for i in ids:
-            if not 0 <= i < len(host.edges):
-                raise GraphInputError(f"edge index {i} outside the host edge table")
-            bits |= 1 << i
-        return cls(host, bits)
 
-    def ids(self):
-        return tuple(i for i in range(len(self.host.edges)) if self.bits >> i & 1)
-
-    def pairs(self):
-        return tuple(self.host.edges[i] for i in self.ids())
-
-    def __contains__(self, eid):
-        return 0 <= eid < len(self.host.edges) and self.bits >> eid & 1
-
-    def __len__(self):
-        return self.bits.bit_count()
-
-    def __iter__(self):
-        return iter(self.ids())
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, EdgeSubset) and self.bits == other.bits
-                and (self.host is other.host or self.host == other.host))
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __repr__(self):
-        return f"EdgeSubset({list(self.ids())})"
+def _mask(ids, width):
+    """The int with bit i set for each i in ids, each in 0..width-1, built in
+    time linear in width as a string of binary digits, the last digit bit 0
+    (a leading 0 keeps the string non-empty)."""
+    digits = bytearray(b"0" * (width + 1))
+    for i in ids:
+        if not 0 <= i < width:
+            raise GraphInputError(f"edge index {i} outside the host edge table")
+        digits[~i] = 49  # "1"
+    return int(digits, 2)
 
 
 class Cycle:
@@ -192,10 +165,7 @@ class Cycle:
         return len(self.vertices)
 
     def edge_bits(self):
-        bits = 0
-        for i in self.edge_ids:
-            bits |= 1 << i
-        return bits
+        return _mask(self.edge_ids, len(self.host.edges))
 
     def __eq__(self, other):
         return isinstance(other, Cycle) and self.vertices == other.vertices \
@@ -316,13 +286,9 @@ def blocks(g) -> list:
     return list(map(tuple, out))
 
 
-def bridges(g) -> EdgeSubset:
-    """Edges lying on no cycle: the single-edge blocks."""
-    out = 0
-    for block in blocks(g):
-        if len(block) == 1:
-            out |= 1 << block[0]
-    return EdgeSubset(g, out)
+def bridges(g) -> tuple:
+    """Edge ids of the edges lying on no cycle, ascending: the single-edge blocks."""
+    return tuple(block[0] for block in blocks(g) if len(block) == 1)
 
 
 def unique_cycle(g):
@@ -380,10 +346,7 @@ def max_clique(g) -> tuple:
             count=n, budget=CLIQUE_VERTEX_LIMIT)
     if len(g.edges) == n * (n - 1) // 2:
         return tuple(range(n))
-    nb = [0] * n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
+    nb = [_mask(adj, n) for adj in g._adj]
 
     def color_order(cand):
         out = []
@@ -418,7 +381,7 @@ def max_clique(g) -> tuple:
             cand ^= b
 
     expand(0, 0, (1 << n) - 1)
-    return tuple(v for v in range(n) if best_bits >> v & 1)
+    return _ids(best_bits)
 
 
 def is_isomorphic(g, h) -> bool:

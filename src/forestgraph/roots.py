@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
 from .forests import FOREST_BUDGET, _find, count_maximal_forests
-from .graphs import (BudgetError, Graph, GraphInputError, bridges, components,
+from .graphs import (BudgetError, Graph, GraphInputError, _ids, bridges, components,
                      find_isomorphism, is_bipartite)
 
 GRAPH_ENUM_VERTEX_LIMIT = 7
@@ -99,7 +99,7 @@ def no_root_prune(g):
         isthmi = bridges(g)
         if isthmi:
             return NoRootCertificate(
-                REASON_ISTHMUS_OR_ISOLATED, witness=("edge", isthmi.ids()[0]),
+                REASON_ISTHMUS_OR_ISOLATED, witness=("edge", isthmi[0]),
                 note="a forest graph larger than one vertex has no isthmus")
         comps = components(g)
         if len(comps) > 1:
@@ -129,23 +129,20 @@ def enumerate_graphs(n) -> list:
     pairs = list(itertools.combinations(range(n), 2))
     m = len(pairs)
     pair_pos = {p: i for i, p in enumerate(pairs)}
+    # per permutation, the bit of each edge's image: an image mask is the
+    # sum of its edges' bits, as no two edges share an image
     tables = []
     for perm in itertools.permutations(range(n)):
-        tables.append(tuple(pair_pos[tuple(sorted((perm[a], perm[b])))] for a, b in pairs))
+        tables.append(tuple(1 << pair_pos[tuple(sorted((perm[a], perm[b])))] for a, b in pairs))
     seen = bytearray(1 << m)
     out = []
     for mask in range(1 << m):
         if seen[mask]:
             continue
-        out.append(Graph(n, (pairs[i] for i in range(m) if mask >> i & 1)))
+        ids = _ids(mask)
+        out.append(Graph(n, map(pairs.__getitem__, ids)))
         for table in tables:
-            image = 0
-            rest = mask
-            while rest:
-                lsb = rest & -rest
-                rest ^= lsb
-                image |= 1 << table[lsb.bit_length() - 1]
-            seen[image] = 1
+            seen[sum(map(table.__getitem__, ids))] = 1
     return out
 
 

@@ -360,7 +360,7 @@ class TestBiggerClique:
             divergent += 1
             assert len(ring) > len(clique), g
             fg = build_forest_graph(g)
-            ids = [fg.forest_index(MaximalForest(g, f.edges)) for f in ring]
+            ids = [fg.forest_index(MaximalForest(g, f.bits)) for f in ring]
             assert len(set(ids)) == len(ids), g
             assert all(fg.graph.has_edge(a, b) for a, b in zip(ids, ids[1:] + ids[:1])), g
         assert divergent == 142

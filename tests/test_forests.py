@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from forestgraph import (BudgetError, EdgeSubset, Graph, GraphInputError,
+from forestgraph import (BudgetError, Graph, GraphInputError,
                          MaximalForest, brute_force_maximal_forests,
                          bridges, cartesian_product, complete_graph, components,
                          count_maximal_forests, cycle_graph, cyclomatic_number,
@@ -111,7 +111,7 @@ class TestEnumeration:
     def test_member_invariants(self):
         for g in small_corpus(5):
             beta = cyclomatic_number(g)
-            must_have = bridges(g).bits
+            must_have = sum(1 << i for i in bridges(g))
             for f in maximal_forests(g):
                 assert len(f.edge_ids()) == g.vertex_count - len(components(g))
                 assert f.bits & must_have == must_have
@@ -126,7 +126,7 @@ class TestEnumeration:
             shared = family[0].bits
             for f in family:
                 shared &= f.bits
-            assert shared == bridges(g).bits
+            assert shared == sum(1 << i for i in bridges(g))
 
     def test_cycle_block_trees_drop_one_edge_each(self):
         start = time.perf_counter()
@@ -147,7 +147,7 @@ class TestEnumeration:
         # theta graph with paths of 1, 2 and 118 edges: 1*2 + 2*118 + 118*1
         assert len(family) == 356
         for f in family:
-            MaximalForest(g, f.edges)
+            MaximalForest(g, f.bits)
 
     def test_budget_carries_exact_count(self):
         with pytest.raises(BudgetError) as info:
@@ -175,6 +175,36 @@ class TestMaximalForestType:
     def test_accepts_spanning_tree(self):
         f = MaximalForest(complete_graph(3), (0, 1))
         assert f.pairs() == ((0, 1), (0, 2))
+
+    def test_ids_and_bits_roundtrip(self):
+        g = complete_graph(4)
+        f = MaximalForest(g, [0, 3, 5])
+        assert f.edge_ids() == (0, 3, 5) and f.bits == 0b101001
+        assert f.pairs() == (g.edges[0], g.edges[3], g.edges[5])
+        assert MaximalForest(g, 0b101001) == f == MaximalForest(g, (5, 3, 0))
+
+    def test_long_path_validates_in_linear_time(self):
+        g = path_graph(300001)
+        start = time.perf_counter()
+        f = MaximalForest(g, range(300000))
+        assert time.perf_counter() - start < 1
+        assert f.bits == (1 << 300000) - 1
+
+    def test_ids_range_checked(self):
+        g = complete_graph(3)
+        for build in (MaximalForest, extend_to_maximal):
+            for i in (3, -1):
+                with pytest.raises(GraphInputError,
+                                   match=f"^edge index {i} outside the host edge table$"):
+                    build(g, (0, i))
+
+    def test_bits_range_checked(self):
+        g = complete_graph(3)
+        for build in (MaximalForest, extend_to_maximal):
+            for bits in (1 << 3, 0b1001, -1):
+                with pytest.raises(GraphInputError,
+                                   match="^edge subset bits outside the host edge table$"):
+                    build(g, bits)
 
 
 class TestExtend:
@@ -221,7 +251,7 @@ class TestTrustedConstruction:
                     built += exchange_path(g, start, f)
             for f in built:
                 assert f.host is g
-                assert MaximalForest(g, f.edges) == f
+                assert MaximalForest(g, f.bits) == f
 
     def test_no_validating_constructor_calls(self, monkeypatch):
         def refuse(self, host, edges):
@@ -232,7 +262,7 @@ class TestTrustedConstruction:
             family = maximal_forests(g)
             exchange_path(g, family[0], family[len(family) - 1])
             extend_to_maximal(g, ())
-            extend_to_maximal(g, EdgeSubset(g, 1))
+            extend_to_maximal(g, 1)
         with pytest.raises(AssertionError):
             MaximalForest(BOWTIE, (0, 1, 3, 4))
 

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from forestgraph import (BudgetError, Cycle, EdgeSubset, Graph, GraphInputError,
+from forestgraph import (BudgetError, Cycle, Graph, GraphInputError,
                          blocks, bridges, build_forest_graph, cartesian_product,
                          complete_graph, components, cycle_graph,
                          cyclomatic_number, enumerate_graphs, find_isomorphism,
                          is_bipartite, is_isomorphic, max_clique, path_graph,
                          unique_cycle)
+from forestgraph.graphs import _ids, _mask
 
 from .oracles import (brute_force_blocks, brute_force_bridges,
                       brute_force_cycles, brute_force_isomorphic,
@@ -97,17 +98,25 @@ class TestConstructionOracle:
                                 h.edge_index(a, b)
 
 
-class TestEdgeSubset:
-    def test_roundtrip(self):
-        g = complete_graph(4)
-        sub = EdgeSubset.from_ids(g, [0, 3, 5])
-        assert sub.ids() == (0, 3, 5)
-        assert sub.pairs() == (g.edges[0], g.edges[3], g.edges[5])
-        assert len(sub) == 3 and 3 in sub and 1 not in sub
+class TestBitWalks:
+    """The set-bit walk and the id-to-bits build against one-bit-at-a-time loops."""
 
-    def test_bits_range_checked(self):
-        with pytest.raises(GraphInputError):
-            EdgeSubset(complete_graph(3), 1 << 3)
+    def test_agree_with_naive_walks(self):
+        rng = random.Random(15)
+        for width in (0, 1, 2, 7, 61, 62, 64, 1000, 10**5):
+            sparse = sum(1 << i for i in rng.sample(range(width), width // 50))
+            for bits in (0, sparse, rng.getrandbits(width), (1 << width) - 1):
+                ids = tuple(i for i in range(width) if bits >> i & 1)
+                assert _ids(bits) == ids
+                assert _mask(ids, width) == bits
+                assert _mask(reversed(ids), width) == bits
+        assert _ids(0) == () and _mask((), 0) == 0
+
+    def test_mask_refuses_ids_outside_the_width(self):
+        for i in (-1, 3, 4):
+            with pytest.raises(GraphInputError,
+                               match=f"^edge index {i} outside the host edge table$"):
+                _mask((0, i), 3)
 
 
 class TestComponents:
@@ -136,25 +145,25 @@ class TestCyclomatic:
 
 class TestBridges:
     def test_path_both_edges(self):
-        assert bridges(path_graph(3)).ids() == (0, 1)
+        assert bridges(path_graph(3)) == (0, 1)
 
     def test_cycle_none(self):
         assert not bridges(cycle_graph(4))
 
     def test_triangle_pendant(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-        assert set(bridges(g).ids()) == brute_force_bridges(g) == {g.edge_index(2, 3)}
+        assert set(bridges(g)) == brute_force_bridges(g) == {g.edge_index(2, 3)}
 
     def test_against_oracle_exhaustively(self):
         for g in small_corpus(5):
-            assert set(bridges(g).ids()) == brute_force_bridges(g), g
+            assert bridges(g) == tuple(sorted(brute_force_bridges(g))), g
 
     def test_edge_on_no_enumerated_cycle(self):
         for g in small_corpus(5):
             on_cycle = set()
             for cyc in brute_force_cycles(g):
                 on_cycle |= cyc
-            assert set(bridges(g).ids()) == set(range(len(g.edges))) - on_cycle
+            assert set(bridges(g)) == set(range(len(g.edges))) - on_cycle
 
 
 class TestBlocks:

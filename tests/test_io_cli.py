@@ -180,6 +180,13 @@ class TestCliGolden:
         lines = out.splitlines()
         assert (code, lines[0], len(lines)) == (0, "1100 maximal forests", 1101)
 
+    def test_fgraph_long_cycle(self, capsys):
+        # F(C_1100) is K_1100: 1100 * 1099 / 2 edges
+        start = time.perf_counter()
+        code, out, _ = run_cli(["fgraph", "-"], format_edge_list(cycle_graph(1100)), capsys)
+        assert time.perf_counter() - start < 5
+        assert (code, out.splitlines()[0]) == (0, "forest graph: 1100 vertices, 604450 edges")
+
     def test_classify_bowtie_human(self, capsys):
         code, out, _ = run_cli(["classify", "-"], BOWTIE_TEXT, capsys)
         assert code == 0
@@ -578,6 +585,17 @@ class TestInputScale:
         assert time.perf_counter() - start < 0.5
         assert (code, err) == (0, "")
         assert out.splitlines()[:3] == [f"vertices {n + 1}", "0 1", "2 3"]
+
+    @pytest.mark.parametrize("command", ["distance", "path"])
+    def test_long_path_forest(self, capsys, command):
+        ids = range(200000)
+        forest = ",".join(map(str, ids))
+        text = format_edge_list(path_graph(200001))
+        start = time.perf_counter()
+        result = run_cli([command, "-", forest, forest], text, capsys)
+        assert time.perf_counter() - start < 5
+        out = "0\n" if command == "distance" else f"0 exchanges\n[0] {' '.join(map(str, ids))}\n"
+        assert result == (0, out, "")
 
     def test_forest_check_without_components(self, capsys, monkeypatch):
         def refuse(g):

@@ -1,5 +1,7 @@
 """Root existence, depth chains, forest-preserving rewrites, corpus generator."""
 
+import hashlib
+
 import pytest
 
 from forestgraph import (BudgetError, Graph, GraphInputError, bridges,
@@ -18,6 +20,16 @@ from .oracles import bucket_join_edges, unlabeled_graph_count
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 TWO_TRIANGLES = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+# SHA-256 of repr([g.edges for g in enumerate_graphs(n)]): pins the output order
+ENUMERATION_DIGESTS = {
+    1: "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    2: "2c3d6db69bdab62f45d2f552b42b208efbaaf3a0c03399cc7cfbd286286e59ab",
+    3: "86c83a62b142a3d3719f935375e16a96f2dd82c7112866033dc87bebdeddce1a",
+    4: "8bfdc2f330b87ea443f97a4d6ea46405c4ae988b6f6b22738a2fbdcf47e940b2",
+    5: "237d871825523dc1beb76c431758bbd12676e64bf5a54a81e201f10b12fe2181",
+    6: "88b6dc659a6ff0fec681f892caad0d3410e4ac53d9779b29eb1135dd0ed8505c",
+}
 K33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
 K5_MINUS_EDGE = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)])
 
@@ -249,6 +261,11 @@ class TestEnumerateGraphs:
 
     def test_k1(self):
         assert [g.edges for g in enumerate_graphs(1)] == [()]
+
+    def test_order_pinned(self):
+        for n, digest in ENUMERATION_DIGESTS.items():
+            edges = [g.edges for g in enumerate_graphs(n)]
+            assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest, n
 
     def test_size_guard(self):
         with pytest.raises(BudgetError):
