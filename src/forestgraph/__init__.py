@@ -19,9 +19,9 @@ from .forests import (ForestFamily, MaximalForest, brute_force_maximal_forests,
                       count_maximal_forests, extend_to_maximal, maximal_forests)
 from .graphs import (BudgetError, Cycle, Graph, GraphInputError,
                      blocks, bridges, cartesian_product,
-                     complete_graph, components, cycle_graph, cyclomatic_number,
+                     complete_graph, components, cycle_graph,
                      find_isomorphism, is_bipartite,
-                     is_isomorphic, max_clique, path_graph, unique_cycle)
+                     is_isomorphic, max_clique, path_graph)
 from .io import (ParseError, format_dot, format_edge_list, parse_dot,
                  parse_edge_list, parse_graph)
 from .roots import (DepthReport, NoRootCertificate, RootChainCertificate,
@@ -40,13 +40,13 @@ __all__ = [
     "brute_force_maximal_forests", "build_forest_graph", "cartesian_product",
     "classify", "clique_witness_from_complete", "clique_witness_from_cycle",
     "clique_witness_from_two_triangles", "complete_graph", "components",
-    "count_maximal_forests", "cycle_graph", "cyclomatic_number",
+    "count_maximal_forests", "cycle_graph",
     "depth_lower_bound", "enumerate_graphs",
     "exchange_path", "extend_to_maximal", "find_isomorphism", "find_roots",
     "finite_connectivity_check", "forest_distance", "format_dot",
     "format_edge_list", "is_bipartite", "is_isomorphic",
     "is_stable", "iterate_F", "max_clique", "maximal_forests", "no_root_prune",
     "parse_dot", "parse_edge_list", "parse_graph", "path_graph",
-    "unique_cycle", "verify_clique_growth", "whitney_identify",
+    "verify_clique_growth", "whitney_identify",
     "whitney_split", "whitney_twist",
 ]

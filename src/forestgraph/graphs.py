@@ -224,11 +224,6 @@ def components(g) -> list:
     return out
 
 
-def cyclomatic_number(g) -> int:
-    """m - n + c: the number of edges outside any maximal forest."""
-    return len(g.edges) - g.vertex_count + len(components(g))
-
-
 def blocks(g) -> list:
     """Edge ids of each biconnected component (block), from one lowpoint DFS.
 
@@ -291,41 +286,26 @@ def bridges(g) -> tuple:
     return tuple(block[0] for block in blocks(g) if len(block) == 1)
 
 
-def unique_cycle(g):
-    """The one cycle of a graph with cyclomatic number 1, else None: that is
-    the one block of two or more edges, when it has as many vertices as edges."""
-    big = [block for block in blocks(g) if len(block) > 1]
-    if len(big) != 1:
-        return None
-    inside = {x for i in big[0] for x in g.edges[i]}
-    if len(inside) != len(big[0]):
-        return None
-    # walk the cycle into vertex order; two blocks share at most one vertex,
-    # so the edges between the block's vertices are exactly its edges
-    walk = [min(inside)]
-    while len(walk) < len(inside):
-        walk.append(next(w for w in g.neighbors(walk[-1]) if w in inside and w not in walk[-2:]))
-    return Cycle(g, walk)
-
-
 BipartiteReport = namedtuple("BipartiteReport", "bipartite coloring odd_cycle")
 
 
 def is_bipartite(g) -> BipartiteReport:
     """Two-color the graph by breadth-first depth parity, or exhibit an odd
-    cycle closed by the first edge found joining two vertices of one depth."""
+    cycle closed by the first edge, in edge order, joining two vertices of
+    one depth."""
     n = g.vertex_count
     depth = [-1] * n
     parent = [-1] * n
-    for v in _bfs(g, range(n), depth, parent):
-        for w in g._adj[v]:
-            if depth[w] == depth[v]:
-                # climb from both ends to their first common ancestor
-                left, right = [v], [w]
-                while left[-1] != right[-1]:
-                    left.append(parent[left[-1]])
-                    right.append(parent[right[-1]])
-                return BipartiteReport(False, None, Cycle(g, left[::-1] + right[:-1]))
+    for _ in _bfs(g, range(n), depth, parent):
+        pass
+    for v, w in g.edges:
+        if depth[v] == depth[w]:
+            # climb from both ends to their first common ancestor
+            left, right = [v], [w]
+            while left[-1] != right[-1]:
+                left.append(parent[left[-1]])
+                right.append(parent[right[-1]])
+            return BipartiteReport(False, None, Cycle(g, left[::-1] + right[:-1]))
     return BipartiteReport(True, tuple(d & 1 for d in depth), None)
 
 

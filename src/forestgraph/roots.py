@@ -8,7 +8,10 @@ search is bounded by the minimum degree: a spanning tree T of a connected
 isthmus-free H with rank r and corank k has degree sum_{f not in T}
 (|C_T(f)| - 1) >= max(r, 2k) in F(H), so every root of a graph g with
 minimum degree d has at most d + 1 vertices and corank at most d // 2.  A
-search that covered that whole bound and found nothing is a proof.
+search that covered that whole bound and found nothing is a proof.  The
+candidates are a constant table: the graphs on n <= 7 vertices, and the
+connected isthmus-free ones with their forest counts, are built once per
+process, on the first search or enumeration that reaches n.
 Whitney moves (identification, splitting, twisting) change a graph without
 changing its maximal forests as edge sets, so roots are never unique when a
 move applies.
@@ -16,6 +19,7 @@ move applies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -116,9 +120,8 @@ def no_root_prune(g):
 def enumerate_graphs(n) -> list:
     """All non-isomorphic simple graphs on exactly n vertices, deterministic order.
 
-    Deduplicates the 2^C(n,2) labeled edge sets by marking whole S_n orbits;
-    the representative of each class is its orbit-minimal bitmask, and output
-    follows increasing representative masks.
+    Each order is enumerated once per process; every call returns a fresh
+    list of the same graphs.
     """
     if n < 0:
         raise GraphInputError("vertex count must be non-negative")
@@ -126,6 +129,17 @@ def enumerate_graphs(n) -> list:
         raise BudgetError(
             f"graph enumeration limited to {GRAPH_ENUM_VERTEX_LIMIT} vertices (got {n})",
             count=n, budget=GRAPH_ENUM_VERTEX_LIMIT)
+    return list(_graphs_on(n))
+
+
+@functools.cache
+def _graphs_on(n):
+    """The graphs on n vertices, one per isomorphism class.
+
+    Deduplicates the 2^C(n,2) labeled edge sets by marking whole S_n orbits;
+    the representative of each class is its orbit-minimal bitmask, and output
+    follows increasing representative masks.
+    """
     pairs = list(itertools.combinations(range(n), 2))
     m = len(pairs)
     pair_pos = {p: i for i, p in enumerate(pairs)}
@@ -143,57 +157,14 @@ def enumerate_graphs(n) -> list:
         out.append(Graph(n, map(pairs.__getitem__, ids)))
         for table in tables:
             seen[sum(map(table.__getitem__, ids))] = 1
-    return out
+    return tuple(out)
 
 
-def _root_search(max_vertices, max_edges, budget):
-    """A root search for one query: calls share the enumerated candidates.
-
-    The connected isthmus-free candidates on n vertices, each with its forest
-    count, are enumerated on the first call that reaches n, so a pruned graph
-    enumerates nothing and a refusal at n stops before n + 1.  Each call scans
-    only the orders and coranks its graph's minimum degree allows.
-    """
-    by_order = {}
-
-    def candidates(n):
-        if n not in by_order:
-            by_order[n] = [
-                (h, count_maximal_forests(h)) for h in enumerate_graphs(n)
-                if (max_edges is None or len(h.edges) <= max_edges)
-                and len(components(h)) == 1 and (n == 1 or not bridges(h))]
-        return by_order[n]
-
-    def search(g):
-        cert = no_root_prune(g)
-        if cert is not None:
-            return RootSearchResult((), cert)
-        low = min(range(g.vertex_count), key=g.degree)
-        degree = g.degree(low)
-        max_corank = degree // 2
-        top = min(max_vertices, degree + 1)
-        note = (f"searched connected isthmus-free candidates on <= {top} vertices"
-                f" with corank <= {max_corank}"
-                + (f" and <= {max_edges} edges" if max_edges is not None else ""))
-        roots = []
-        iso_maps = []
-        for n in range(1, top + 1):
-            for h, count in candidates(n):
-                if count != g.vertex_count or len(h.edges) - (n - 1) > max_corank:
-                    continue
-                mapping = find_isomorphism(build_forest_graph(h, budget).graph, g)
-                if mapping is not None:
-                    roots.append(h)
-                    iso_maps.append(mapping)
-        if roots:
-            return RootSearchResult(tuple(roots), None, note, tuple(iso_maps))
-        if max_vertices > degree and (max_edges is None or max_edges >= degree + max_corank):
-            return RootSearchResult((), NoRootCertificate(
-                REASON_DEGREE_BOUND, witness=("vertex", low, degree),
-                note=f"{note}, all that minimum degree {degree} allows"), note)
-        return RootSearchResult((), NoRootCertificate(REASON_EXHAUSTED, note=note), note)
-
-    return search
+@functools.cache
+def _candidates(n):
+    """The connected isthmus-free graphs on n vertices, each with its forest count."""
+    return tuple((h, count_maximal_forests(h)) for h in enumerate_graphs(n)
+                 if len(components(h)) == 1 and (n == 1 or not bridges(h)))
 
 
 def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
@@ -205,11 +176,42 @@ def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
     bound: at most d + 1 vertices and corank at most d // 2, where d is the
     minimum degree of g.  They are filtered by exact forest count, then by a
     full forest-graph construction plus isomorphism test; each root comes
-    with its map from F(H) onto g.  An empty result carries a proof-grade
-    certificate ("degree-bound" when the budgets covered the whole degree
-    bound) or an exhausted-budget one.
+    with its map from F(H) onto g.  The candidates of each order come from
+    a table built the first time a search reaches that order, so a pruned
+    graph enumerates nothing and a refusal at n stops before n + 1.  An
+    empty result carries a proof-grade certificate ("degree-bound" when the
+    budgets covered the whole degree bound) or an exhausted-budget one.
     """
-    return _root_search(max_vertices, max_edges, budget)(g)
+    cert = no_root_prune(g)
+    if cert is not None:
+        return RootSearchResult((), cert)
+    low = min(range(g.vertex_count), key=g.degree)
+    degree = g.degree(low)
+    max_corank = degree // 2
+    top = min(max_vertices, degree + 1)
+    note = (f"searched connected isthmus-free candidates on <= {top} vertices"
+            f" with corank <= {max_corank}"
+            + (f" and <= {max_edges} edges" if max_edges is not None else ""))
+    roots = []
+    iso_maps = []
+    for n in range(1, top + 1):
+        most = n - 1 + max_corank
+        if max_edges is not None:
+            most = min(most, max_edges)
+        for h, count in _candidates(n):
+            if count != g.vertex_count or len(h.edges) > most:
+                continue
+            mapping = find_isomorphism(build_forest_graph(h, budget).graph, g)
+            if mapping is not None:
+                roots.append(h)
+                iso_maps.append(mapping)
+    if roots:
+        return RootSearchResult(tuple(roots), None, note, tuple(iso_maps))
+    if max_vertices > degree and (max_edges is None or max_edges >= degree + max_corank):
+        return RootSearchResult((), NoRootCertificate(
+            REASON_DEGREE_BOUND, witness=("vertex", low, degree),
+            note=f"{note}, all that minimum degree {degree} allows"), note)
+    return RootSearchResult((), NoRootCertificate(REASON_EXHAUSTED, note=note), note)
 
 
 @dataclass(frozen=True)
@@ -267,15 +269,13 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None
                       max_depth=DEFAULT_DEPTH_LIMIT, budget=FOREST_BUDGET) -> DepthReport:
     """Longest root chain below g found within the budgets.
 
-    One root search serves the whole query: every level of the chase reuses
-    the candidates enumerated for g, and the chain certificate takes its
-    isomorphisms from the search results.  At most max_depth roots are
-    chased below g.
+    Every level of the chase runs find_roots with the same budgets, and the
+    chain certificate takes its isomorphisms from those results.  At most
+    max_depth roots are chased below g.
     """
     if (g.vertex_count, len(g.edges)) in ((1, 0), (3, 3)):
         return DepthReport("stable")  # K_1 or K_3, the only stable graphs
-    search = _root_search(max_vertices, max_edges, budget)
-    top = search(g)
+    top = find_roots(g, max_vertices, max_edges, budget)
     if top.certificate is not None and top.certificate.proof_grade:
         return DepthReport("pruned", depth=0, stop=top.certificate, search=top)
 
@@ -292,7 +292,8 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None
         best_chain = []
         best_stop = None
         for h, mapping in zip(result.roots, result.iso_maps):
-            chain, stop = chase(search(h), depth_left - 1)
+            chain, stop = chase(find_roots(h, max_vertices, max_edges, budget),
+                                depth_left - 1)
             if len(chain) + 1 > len(best_chain):
                 best_chain = chain + [(h, mapping)]
                 best_stop = stop

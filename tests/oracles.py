@@ -4,12 +4,13 @@ Nothing here shares algorithms with the package: spanning trees are counted
 by deletion-contraction on multigraphs, cycles come from vertex-sequence
 brute force, blocks come from merging edges that share a cycle, exchange
 paths test connectivity by walking the remaining edges, components and
-bipartiteness come from union-find (the latter on a doubled vertex set),
-isomorphism tries every permutation, cliques come from subset scans,
-Hamiltonian cycles come from bitmask backtracking, unlabeled-graph counts
-come from the orbit-counting lemma, and forest-graph adjacency comes from one
-bucket join over the whole forest family, not from the product of the
-blocks' forest graphs.
+bipartiteness come from union-find (the latter on a doubled vertex set), the
+cyclomatic number counts union-find classes, a unicyclic graph's cycle is
+what peeling leaves of it, isomorphism tries every permutation, cliques come
+from subset scans, Hamiltonian cycles come from bitmask backtracking,
+unlabeled-graph counts come from the orbit-counting lemma, and forest-graph
+adjacency comes from one bucket join over the whole forest family, not from
+the product of the blocks' forest graphs.
 """
 
 from __future__ import annotations
@@ -87,6 +88,34 @@ def union_find_bipartite(g) -> bool:
     n = g.vertex_count
     root = _union_find(2 * n, [p for u, v in g.edges for p in ((u, v + n), (v, u + n))])
     return all(root[v] != root[v + n] for v in range(n))
+
+
+def cyclomatic_number(g) -> int:
+    """m - n + c, with c counted by union-find: the number of edges outside
+    any maximal forest."""
+    return len(g.edges) - g.vertex_count + len(union_find_components(g))
+
+
+def unique_cycle(g):
+    """The one cycle of a graph with cyclomatic number 1, else None.
+
+    Peeling vertices with fewer than two unpeeled neighbours leaves the
+    2-core, which in such a graph is its cycle.  The walk starts at the
+    core's smallest vertex and goes on to the smallest core neighbour it has
+    not just left.
+    """
+    if cyclomatic_number(g) != 1:
+        return None
+    inside = set(range(g.vertex_count))
+    while True:
+        peel = {v for v in inside if len(inside.intersection(g.neighbors(v))) < 2}
+        if not peel:
+            break
+        inside -= peel
+    walk = [min(inside)]
+    while len(walk) < len(inside):
+        walk.append(next(w for w in g.neighbors(walk[-1]) if w in inside and w not in walk[-2:]))
+    return Cycle(g, walk)
 
 
 def brute_force_cycles(g) -> set:

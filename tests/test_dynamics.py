@@ -11,7 +11,7 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
                          clique_witness_from_complete, clique_witness_from_cycle,
                          clique_witness_from_two_triangles, complete_graph,
                          cycle_graph, enumerate_graphs, is_isomorphic, is_stable,
-                         iterate_F, path_graph, unique_cycle,
+                         iterate_F, path_graph,
                          verify_clique_growth)
 from forestgraph.dynamics import (CONVERGENT, DIVERGENT, GRID_CYCLE,
                                   WITNESS_LONG_CYCLE, WITNESS_TWO_TRIANGLES,
@@ -20,7 +20,7 @@ from forestgraph import dynamics, forest_graph, graphs, roots
 from forestgraph.checks import _bigger_clique_ring, divergence_bigger_clique
 from forestgraph.forests import MaximalForest
 
-from .oracles import brute_force_cycles, brute_force_isomorphic
+from .oracles import brute_force_cycles, brute_force_isomorphic, unique_cycle
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])

@@ -8,15 +8,15 @@ import pytest
 from forestgraph import (BudgetError, Cycle, Graph, GraphInputError,
                          blocks, bridges, build_forest_graph, cartesian_product,
                          complete_graph, components, cycle_graph,
-                         cyclomatic_number, enumerate_graphs, find_isomorphism,
-                         is_bipartite, is_isomorphic, max_clique, path_graph,
-                         unique_cycle)
+                         enumerate_graphs, find_isomorphism, is_bipartite,
+                         is_isomorphic, max_clique, path_graph)
 from forestgraph.graphs import _ids, _mask
 
 from .oracles import (brute_force_blocks, brute_force_bridges,
                       brute_force_cycles, brute_force_isomorphic,
-                      brute_force_max_clique_size, hamiltonian_cycle,
-                      union_find_bipartite, union_find_components)
+                      brute_force_max_clique_size, cyclomatic_number,
+                      hamiltonian_cycle, union_find_bipartite,
+                      union_find_components, unique_cycle)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -241,7 +241,11 @@ class TestCycles:
 
     def test_unique_cycle_iff_beta_one(self):
         for g in small_corpus(5):
-            assert (unique_cycle(g) is not None) == (cyclomatic_number(g) == 1)
+            cyc = unique_cycle(g)
+            cycles = brute_force_cycles(g)
+            assert (cyc is not None) == (cyclomatic_number(g) == 1) == (len(cycles) == 1)
+            if cyc is not None:
+                assert cycles == {frozenset(cyc.edge_ids)}
 
     def test_cycle_normalization(self):
         g = cycle_graph(4)

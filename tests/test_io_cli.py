@@ -345,7 +345,9 @@ class TestCliRootSearch:
 
     @pytest.fixture
     def orders(self, monkeypatch):
-        """The vertex counts passed to enumerate_graphs, call by call."""
+        """The vertex counts passed to enumerate_graphs, call by call, from a
+        cold candidate table."""
+        roots._candidates.cache_clear()
         seen = []
         enumerate_graphs = roots.enumerate_graphs
 
@@ -361,6 +363,12 @@ class TestCliRootSearch:
         # K_5 has minimum degree 4, so no root has more than 5 vertices
         code, _, _ = run_cli([cmd, "-"], self.F_C5, capsys)
         assert code == 0 and orders == [1, 2, 3, 4, 5]
+
+    def test_second_query_enumerates_nothing(self, capsys, orders):
+        first = run_cli(["roots", "-"], self.F_C5, capsys)
+        assert first[0] == 0 and orders == [1, 2, 3, 4, 5]
+        assert run_cli(["roots", "-"], self.F_C5, capsys) == first
+        assert orders == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("cmd", ["roots", "depth"])
     def test_f_k4_refused_before_five_vertices(self, capsys, orders, cmd):

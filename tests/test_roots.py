@@ -186,6 +186,16 @@ class TestDegreeBound:
             assert outcome(lambda x: find_roots(x, max_vertices=5).roots, g) \
                 == outcome(plain_roots, g), g
 
+    def test_cold_and_warm_table_agree(self):
+        cold = []
+        for g in (build_forest_graph(BOWTIE).graph, K5_MINUS_EDGE):
+            roots._graphs_on.cache_clear()
+            roots._candidates.cache_clear()
+            cold.append(find_roots(g))
+            assert find_roots(g) == cold[-1]
+        assert [len(result.roots) for result in cold] == [1, 0]
+        assert cold[1].certificate.reason == REASON_DEGREE_BOUND
+
 
 class TestDepth:
     def test_k5_depth_one_degree_bound(self):
@@ -270,6 +280,13 @@ class TestEnumerateGraphs:
     def test_size_guard(self):
         with pytest.raises(BudgetError):
             enumerate_graphs(8)
+
+    def test_returned_list_is_a_copy(self):
+        graphs = enumerate_graphs(4)
+        want = list(graphs)
+        graphs.reverse()
+        graphs.pop()
+        assert enumerate_graphs(4) == want
 
 
 def forest_edge_sets(g):
