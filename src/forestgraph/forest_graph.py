@@ -3,16 +3,17 @@
 Two maximal forests are adjacent exactly when their edge sets differ in one
 edge each way (symmetric difference of size two), and the graph distance
 between two forests equals the size of either one-sided difference, which the
-exchange-path construction realizes step by step.
+exchange-path construction realizes step by step.  F(g) is built as the
+Cartesian product of its blocks' forest graphs, straight from the positions
+the enumeration crosses the blocks in, into its final neighbour tuples.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
-from .forests import FOREST_BUDGET, _find, _forest_parents, _trusted_forest, maximal_forests
-from .graphs import Graph, GraphInputError, _distances, _ids, _mask, blocks
+from .forests import FOREST_BUDGET, _find, _forest_parents, _forest_product, _trusted_forest
+from .graphs import Graph, GraphInputError, _distances, _ids
 
 
 class ForestGraph:
@@ -42,59 +43,56 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     F(g) is the Cartesian product of the blocks' forest graphs, the bridges
     contributing K_1: two maximal forests are one exchange apart exactly when
     they agree outside one block and their trees of that block are one
-    exchange apart.  Each block's trees are the family's restrictions to the
-    block's edges, so the bucket join runs over those trees alone; a cycle
-    block's trees are pairwise one exchange apart and need no join.  Each
-    product edge is then mapped to family indices by `family_index`, one
-    permutation from product positions to the family's order.
+    exchange apart.  So a forest's neighbours sit at the product positions
+    that differ from its own in one block's digit, by an adjacent tree of
+    that block: a cycle block's trees are pairwise adjacent, and any other
+    block's adjacent trees come from one bucket join over its trees.  The
+    enumeration hands over each forest's position; its neighbours' positions
+    are mapped to family indices and sorted once, into the final adjacency.
     """
-    family = maximal_forests(g, budget)
-    members = [f.bits for f in family]
-    per_block = []
-    # each member's product position: its tree numbers, one per block, read
-    # as a mixed-radix number with the first block's number most significant
-    positions = [0] * len(members)
-    for block in blocks(g):
-        if len(block) > 1:
-            mask = _mask(block, len(g.edges))
-            trees = {}
-            coords = [trees.setdefault(bits & mask, len(trees)) for bits in members]
-            positions = [p * len(trees) + c for p, c in zip(positions, coords)]
-            if len({v for i in block for v in g.edges[i]}) == len(block):
-                # a cycle: each tree drops one edge, so all are one exchange apart
-                per_block.append((len(trees), [range(len(trees))]))
-            else:
-                per_block.append((len(trees), _exchange_cliques(list(trees))))
-    family_index = [0] * len(members)
-    for i, p in enumerate(positions):
-        family_index[p] = i
-    edges = []
-    stride = len(family_index)
-    for count, cliques in per_block:
-        span = stride
+    family, positions, factors = _forest_product(g, budget)
+    # the inverse permutation: index[positions[i]] == i
+    index = sorted(range(len(positions)), key=positions.__getitem__)
+    # per block: its stride (the product of the later blocks' tree counts),
+    # its tree count, and for each tree the offsets its adjacent trees add
+    # to a position whose digit for the block is 0
+    digits = []
+    stride = len(positions)
+    for block, trees in factors:
+        count = len(trees)
         stride //= count
-        for top in range(0, len(family_index), span):
-            for p in range(top, top + stride):
-                # the family indices of this block's trees, the other blocks fixed
-                at = family_index[p:p + span:stride]
-                edges += [(at[a], at[b]) for clique in cliques
-                          for a, b in itertools.combinations(clique, 2)]
-    return ForestGraph(g, family, Graph(len(family), edges))
+        if len({v for i in block for v in g.edges[i]}) == len(block):
+            # a cycle: each tree drops one edge, so all are one exchange apart
+            runs = [(range(0, t * stride, stride), range((t + 1) * stride, count * stride, stride))
+                    for t in range(count)]
+        else:
+            runs = [(row if stride == 1 else [u * stride for u in row],)
+                    for row in _exchange_neighbours(trees)]
+        digits.append((stride, count, runs))
+    adj = [tuple(sorted([index[base + offset] for stride, count, runs in digits
+                         for t in (p // stride % count,) for base in (p - t * stride,)
+                         for run in runs[t] for offset in run]))
+           for p in positions]
+    return ForestGraph(g, family, Graph._from_neighbours(adj))
 
 
-def _exchange_cliques(trees):
-    """Groups of tree indices, the trees of each group pairwise one exchange
-    apart, and every such pair in exactly one group.
+def _exchange_neighbours(trees):
+    """For each tree, the indices of the trees one exchange from it.
 
     Each tree goes into one bucket per member edge, keyed by its edge set
     minus that edge: two trees share a bucket exactly when they differ in one
-    edge each way.
+    edge each way, and then they share only that one.
     """
     buckets = {}
     for t, bits in enumerate(trees):
         for i in _ids(bits):
             buckets.setdefault(bits ^ 1 << i, []).append(t)
-    return [group for group in buckets.values() if len(group) > 1]
+    near = [[] for _ in trees]
+    # a block is 2-edge-connected, so every bucket holds two or more trees
+    for group in buckets.values():
+        for t in group:
+            near[t] += group
+    return [[u for u in group if u != t] for t, group in enumerate(near)]
 
 
 def forest_distance(f1, f2) -> int:

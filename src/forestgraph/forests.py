@@ -65,6 +65,8 @@ class ForestFamily:
         self._index = {f.bits: i for i, f in enumerate(self.members)}
 
     def index_of(self, forest) -> int:
+        if not (forest.host is self.graph or forest.host == self.graph):
+            raise GraphInputError("forest belongs to a different graph")
         try:
             return self._index[forest.bits]
         except KeyError:
@@ -234,22 +236,39 @@ def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
     lowest edge of the symmetric difference, so it sorts the bit strings
     read from edge 0 up, highest first.
     """
+    return _forest_product(g, budget)[0]
+
+
+def _forest_product(g, budget):
+    """The family as `maximal_forests` builds it, with the product structure
+    it crosses: (family, positions, factors).
+
+    positions[i] is family[i]'s product position, its blocks' tree numbers
+    read as a mixed-radix number with the first block most significant, and
+    factors lists (block, trees) for each block with two or more trees, in
+    block order; a tree's number is its index in trees.
+    """
     count = count_maximal_forests(g)
     if count > budget:
         raise BudgetError(
             f"graph has {count} maximal forests, over the budget of {budget}",
             count=count, budget=budget)
     members = [0]
+    factors = []
     for block in blocks(g):
         trees = _spanning_trees(g, block)
+        if len(trees) > 1:
+            factors.append((block, trees))
+        # the crossing order makes each member's index its product position
         members = [bits | tree for bits in members for tree in trees]
     width = len(g.edges)
-    members.sort(key=lambda bits: f"{bits:0{width}b}"[::-1], reverse=True)
-    family = ForestFamily(g, (_trusted_forest(g, bits) for bits in members))
+    keys = [f"{bits:0{width}b}"[::-1] for bits in members]
+    positions = sorted(range(len(members)), key=keys.__getitem__, reverse=True)
+    family = ForestFamily(g, (_trusted_forest(g, members[p]) for p in positions))
     if len(family) != count:
         raise AssertionError(
             f"enumerated {len(family)} forests but the determinant says {count}")
-    return family
+    return family, positions, factors
 
 
 def extend_to_maximal(g, partial) -> MaximalForest:

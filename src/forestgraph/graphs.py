@@ -9,7 +9,7 @@ indices.  All outputs are deterministic functions of the input graph.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 CLIQUE_VERTEX_LIMIT = 200
@@ -66,6 +66,20 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
+
+    @classmethod
+    def _from_neighbours(cls, adj):
+        """The graph on 0..len(adj)-1 in which v has the neighbours adj[v],
+        unchecked, for graphs the package builds: each adj[v] must be a sorted
+        tuple without v, and u in adj[v] exactly when v in adj[u].  Outside
+        input goes through `Graph(n, edges)`."""
+        g = cls.__new__(cls)
+        g.vertex_count = len(adj)
+        g.vertex_names = None
+        g._adj = tuple(adj)
+        # rows ascend, so each row's part above u lists u's edges in order
+        g.edges = tuple([(u, v) for u, row in enumerate(adj) for v in row[bisect_right(row, u):]])
+        return g
 
     def neighbors(self, v):
         """The sorted tuple of v's neighbours."""

@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from forestgraph import (Graph, GraphInputError, MaximalForest,
+from forestgraph import (BudgetError, Graph, GraphInputError, MaximalForest,
                          brute_force_maximal_forests, build_forest_graph,
                          bridges, cartesian_product, complete_graph,
                          components, count_maximal_forests, cycle_graph,
                          enumerate_graphs, exchange_path,
                          finite_connectivity_check, forest_distance,
                          is_isomorphic, maximal_forests, path_graph)
+from forestgraph import forests
 
 from .oracles import (bfs_distances, brute_force_exchange_path, bucket_join_edges,
-                      dc_spanning_trees)
+                      dc_spanning_trees, neighbour_tuples)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -52,11 +53,21 @@ class TestConstruction:
                     assert fg.graph.has_edge(i, j) == (diff == 2)
 
     def test_vertex_order_is_family_order(self):
+        for g in product_corpus():
+            fg = build_forest_graph(g)
+            assert [f.bits for f in fg.family] == [f.bits for f in maximal_forests(g)], g
         g = complete_graph(4)
-        fg = build_forest_graph(g)
-        plain = maximal_forests(g)
-        assert [f.bits for f in fg.family] == [f.bits for f in plain]
-        assert fg.forest_index(plain[7]) == 7
+        assert build_forest_graph(g).forest_index(maximal_forests(g)[7]) == 7
+
+    def test_budget_refused_before_enumeration(self, monkeypatch):
+        def enumerate_trees(g, block):
+            raise AssertionError("enumerated over budget")
+
+        monkeypatch.setattr(forests, "_spanning_trees", enumerate_trees)
+        with pytest.raises(BudgetError) as info:
+            build_forest_graph(complete_graph(7), budget=16806)
+        assert info.value.count == 16807
+        assert info.value.budget == 16806
 
     def test_k4_shape(self):
         fg = build_forest_graph(complete_graph(4))
@@ -125,6 +136,16 @@ class TestBlockProduct:
         for g in product_corpus():
             fg = build_forest_graph(g)
             assert fg.graph.edges == bucket_join_edges([f.bits for f in fg.family]), g
+
+    def test_built_graph_is_well_formed(self):
+        # F(g) skips Graph's validation: its edge table must be what Graph
+        # would normalize it to, and its adjacency what the edges give
+        for g in product_corpus():
+            fg = build_forest_graph(g)
+            assert fg.graph == Graph(len(fg.family), fg.graph.edges), g
+            want = neighbour_tuples(fg.graph)
+            assert [fg.graph.neighbors(v) for v in range(len(fg.family))] == want, g
+            assert fg.graph.vertex_names is None
 
     def test_family_matches_brute_force_in_order(self):
         for g in product_corpus():

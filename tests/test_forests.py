@@ -8,7 +8,8 @@ import pytest
 
 from forestgraph import (BudgetError, Graph, GraphInputError,
                          MaximalForest, brute_force_maximal_forests,
-                         bridges, cartesian_product, complete_graph, components,
+                         bridges, build_forest_graph, cartesian_product,
+                         complete_graph, components,
                          count_maximal_forests, cycle_graph,
                          enumerate_graphs, exchange_path, extend_to_maximal,
                          maximal_forests, path_graph)
@@ -161,6 +162,14 @@ class TestEnumeration:
             assert family.index_of(f) == i
         other = MaximalForest(complete_graph(4), (0, 1, 2))
         assert family.index_of(other) == 0
+
+    def test_family_index_checks_host(self):
+        # the same edge ids, so the same bits, but a C_4 forest is another edge set
+        on_cycle = MaximalForest(cycle_graph(4), (0, 1, 2))
+        with pytest.raises(GraphInputError):
+            maximal_forests(complete_graph(4)).index_of(on_cycle)
+        with pytest.raises(GraphInputError):
+            build_forest_graph(complete_graph(4)).forest_index(on_cycle)
 
 
 class TestMaximalForestType:
