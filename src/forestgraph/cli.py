@@ -24,9 +24,8 @@ from .graphs import (BudgetError, Graph, GraphInputError, complete_graph,
                      components, cycle_graph, path_graph)
 from .io import (HEADER_VERTEX_LIMIT, ParseError, _decimal, format_dot, format_edge_list,
                  parse_graph)
-from .roots import (DEFAULT_DEPTH_LIMIT, DEFAULT_ROOT_VERTEX_BUDGET,
-                    depth_lower_bound, enumerate_graphs, find_roots,
-                    whitney_identify, whitney_split, whitney_twist)
+from .roots import (DEFAULT_ROOT_VERTEX_BUDGET, depth_lower_bound, enumerate_graphs,
+                    find_roots, whitney_identify, whitney_split, whitney_twist)
 
 BOWTIE_EDGES = ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))
 
@@ -192,11 +191,10 @@ def cmd_stable(args, g) -> int:
 
 
 def cmd_roots(args, g) -> int:
-    report = depth_lower_bound(g, args.max_vertices, args.max_edges,
-                               args.max_depth, args.budget)
+    report = depth_lower_bound(g, args.max_vertices, args.budget)
     result = report.search
     if result is None:
-        result = find_roots(g, args.max_vertices, args.max_edges, args.budget)
+        result = find_roots(g, args.max_vertices, args.budget)
     if args.format == "structured":
         print(f"roots={len(result.roots)}")
         for root in result.roots:
@@ -222,8 +220,7 @@ def cmd_roots(args, g) -> int:
 
 
 def cmd_depth(args, g) -> int:
-    report = depth_lower_bound(g, args.max_vertices, args.max_edges,
-                               args.max_depth, args.budget)
+    report = depth_lower_bound(g, args.max_vertices, args.budget)
     if args.format == "structured":
         _print_depth(report)
         if report.chain is not None:
@@ -380,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, func, help_text)
         p.add_argument("--max-vertices", type=int, default=DEFAULT_ROOT_VERTEX_BUDGET,
                        help="candidate vertex budget (default 6)")
-        p.add_argument("--max-edges", type=int, default=None,
-                       help="candidate edge budget (default none)")
-        p.add_argument("--max-depth", type=int, default=DEFAULT_DEPTH_LIMIT,
-                       help="chain length limit (default 8)")
 
     p = add("whitney", cmd_whitney, "apply a forest-preserving rewrite")
     p.add_argument("operation", choices=("identify", "split", "twist"))

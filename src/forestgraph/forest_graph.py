@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .forests import FOREST_BUDGET, _find, _forest_parents, _forest_product, _trusted_forest
-from .graphs import Graph, GraphInputError, _distances, _ids
+from .forests import (FOREST_BUDGET, _find, _forest_parents, _forest_product, _trusted_forest,
+                      maximal_forests)
+from .graphs import Graph, GraphInputError, _ids
 
 
 class ForestGraph:
@@ -139,19 +140,24 @@ ConnectivityReport = namedtuple("ConnectivityReport", "order connected diameter"
 
 
 def finite_connectivity_check(g, budget=FOREST_BUDGET) -> ConnectivityReport:
-    """Build F(g) and confirm it is connected; reports order and diameter.
+    """Order, connectivity and diameter of F(g), read off its forests without
+    building F(g); refuses over budget as `maximal_forests` does.
 
-    The diameter is None for the (never expected) disconnected case.
+    F(g) is connected by the exchange property.  Forests T and T' lie
+    |T' - T| exchanges apart, and a forest T' can take in any maximal forest
+    of the edges outside T, so the farthest forest from T is r(E - T) away,
+    the rank of the edges outside T in the cycle matroid.
     """
-    fg = build_forest_graph(g, budget)
-    n = fg.graph.vertex_count
+    family = maximal_forests(g, budget)
+    full = (1 << len(g.edges)) - 1
     diameter = 0
-    for src in range(n):
-        dist = _distances(fg.graph, src)
-        if -1 in dist:
-            return ConnectivityReport(n, False, None)
-        far = max(dist)
-        if far > diameter:
-            diameter = far
-    return ConnectivityReport(n, True, diameter)
+    for forest in family:
+        parent = list(range(g.vertex_count))
+        for i in _ids(full & ~forest.bits):
+            u, v = g.edges[i]
+            parent[_find(parent, u)] = _find(parent, v)
+        # each union that joins two pieces turns one root into a non-root,
+        # so the non-roots count the rank
+        diameter = max(diameter, sum(p != v for v, p in enumerate(parent)))
+    return ConnectivityReport(len(family), True, diameter)
 

@@ -7,14 +7,14 @@ certificates; everything else is search over small candidate graphs.  The
 search is bounded by the minimum degree: a spanning tree T of a connected
 isthmus-free H with rank r and corank k has degree sum_{f not in T}
 (|C_T(f)| - 1) >= max(r, 2k) in F(H), so every root of a graph g with
-minimum degree d has at most d + 1 vertices and corank at most d // 2.  A
-search that covered that whole bound and found nothing is a proof.  The
-candidates are a constant table: the graphs on n <= 7 vertices, and the
-connected isthmus-free ones with their forest counts, are built once per
-process, on the first search or enumeration that reaches n.
-Whitney moves (identification, splitting, twisting) change a graph without
-changing its maximal forests as edge sets, so roots are never unique when a
-move applies.
+minimum degree d has at most d + 1 vertices and corank at most d // 2, hence
+at most d + d // 2 edges.  A search that covered that whole bound and found
+nothing is a proof.  The candidates are a constant table: the graphs on
+n <= 7 vertices, and the connected isthmus-free ones with their forest
+counts, are built once per process, on the first search or enumeration that
+reaches n.  Whitney moves (identification, splitting, twisting) change a
+graph without changing its maximal forests as edge sets, so roots are never
+unique when a move applies.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .graphs import (BudgetError, Graph, GraphInputError, _ids, bridges, compone
 
 GRAPH_ENUM_VERTEX_LIMIT = 7
 DEFAULT_ROOT_VERTEX_BUDGET = 6
-DEFAULT_DEPTH_LIMIT = 8
 
 REASON_BIPARTITE = "bipartite"
 REASON_ISTHMUS_OR_ISOLATED = "isthmus-or-isolated"
@@ -72,7 +71,6 @@ class RootSearchResult:
 
     roots: tuple
     certificate: object = None
-    searched_note: str = ""
     iso_maps: tuple = ()
 
     def found(self):
@@ -167,20 +165,20 @@ def _candidates(n):
                  if len(components(h)) == 1 and (n == 1 or not bridges(h)))
 
 
-def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
+def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
                budget=FOREST_BUDGET) -> RootSearchResult:
     """Search for all H (up to isomorphism) with F(H) isomorphic to g.
 
     Candidates are connected isthmus-free graphs on at most max_vertices
-    vertices (and at most max_edges edges when given), within the degree
-    bound: at most d + 1 vertices and corank at most d // 2, where d is the
-    minimum degree of g.  They are filtered by exact forest count, then by a
+    vertices, within the degree bound: at most d + 1 vertices and corank at
+    most d // 2, where d is the minimum degree of g, so at most n - 1 + d // 2
+    edges on n vertices.  They are filtered by exact forest count, then by a
     full forest-graph construction plus isomorphism test; each root comes
     with its map from F(H) onto g.  The candidates of each order come from
     a table built the first time a search reaches that order, so a pruned
     graph enumerates nothing and a refusal at n stops before n + 1.  An
-    empty result carries a proof-grade certificate ("degree-bound" when the
-    budgets covered the whole degree bound) or an exhausted-budget one.
+    empty result carries a proof-grade certificate ("degree-bound" when
+    max_vertices covered the whole degree bound) or an exhausted-budget one.
     """
     cert = no_root_prune(g)
     if cert is not None:
@@ -190,14 +188,11 @@ def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
     max_corank = degree // 2
     top = min(max_vertices, degree + 1)
     note = (f"searched connected isthmus-free candidates on <= {top} vertices"
-            f" with corank <= {max_corank}"
-            + (f" and <= {max_edges} edges" if max_edges is not None else ""))
+            f" with corank <= {max_corank}")
     roots = []
     iso_maps = []
     for n in range(1, top + 1):
         most = n - 1 + max_corank
-        if max_edges is not None:
-            most = min(most, max_edges)
         for h, count in _candidates(n):
             if count != g.vertex_count or len(h.edges) > most:
                 continue
@@ -206,12 +201,12 @@ def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
                 roots.append(h)
                 iso_maps.append(mapping)
     if roots:
-        return RootSearchResult(tuple(roots), None, note, tuple(iso_maps))
-    if max_vertices > degree and (max_edges is None or max_edges >= degree + max_corank):
+        return RootSearchResult(tuple(roots), None, tuple(iso_maps))
+    if max_vertices > degree:
         return RootSearchResult((), NoRootCertificate(
             REASON_DEGREE_BOUND, witness=("vertex", low, degree),
-            note=f"{note}, all that minimum degree {degree} allows"), note)
-    return RootSearchResult((), NoRootCertificate(REASON_EXHAUSTED, note=note), note)
+            note=f"{note}, all that minimum degree {degree} allows"))
+    return RootSearchResult((), NoRootCertificate(REASON_EXHAUSTED, note=note))
 
 
 @dataclass(frozen=True)
@@ -265,41 +260,41 @@ class DepthReport:
         return self.stop is not None and self.stop.proof_grade
 
 
-def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET, max_edges=None,
-                      max_depth=DEFAULT_DEPTH_LIMIT, budget=FOREST_BUDGET) -> DepthReport:
+def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
+                      budget=FOREST_BUDGET) -> DepthReport:
     """Longest root chain below g found within the budgets.
 
     Every level of the chase runs find_roots with the same budgets, and the
-    chain certificate takes its isomorphisms from those results.  At most
-    max_depth roots are chased below g.
+    chain certificate takes its isomorphisms from those results.  The chase
+    ends on its own: a root H of a graph on N vertices has N maximal forests,
+    at least |V(H)| as H is connected and isthmus-free, with equality only
+    for a cycle or K_1.  K_1 and K_3 are stable, so each root below g has
+    fewer vertices than the graph above it or is a cycle on 4 or more
+    vertices, which has no root (the prune or the degree bound proves it).
     """
     if (g.vertex_count, len(g.edges)) in ((1, 0), (3, 3)):
         return DepthReport("stable")  # K_1 or K_3, the only stable graphs
-    top = find_roots(g, max_vertices, max_edges, budget)
+    top = find_roots(g, max_vertices, budget)
     if top.certificate is not None and top.certificate.proof_grade:
         return DepthReport("pruned", depth=0, stop=top.certificate, search=top)
 
-    def chase(result, depth_left):
+    def chase(result):
         # the chain runs deepest root first, each root with its map from F(root)
         # onto the graph above it.  No root is isomorphic to the graph above
         # it, since F(graph) = F(root) = graph would make that graph stable,
         # and g is not stable, nor is any root below it.
         if not result.found():
             return [], result.certificate
-        if depth_left == 0:
-            return [], NoRootCertificate(
-                REASON_EXHAUSTED, note=f"depth limit {max_depth} reached")
         best_chain = []
         best_stop = None
         for h, mapping in zip(result.roots, result.iso_maps):
-            chain, stop = chase(find_roots(h, max_vertices, max_edges, budget),
-                                depth_left - 1)
+            chain, stop = chase(find_roots(h, max_vertices, budget))
             if len(chain) + 1 > len(best_chain):
                 best_chain = chain + [(h, mapping)]
                 best_stop = stop
         return best_chain, best_stop
 
-    chain, stop = chase(top, max_depth)
+    chain, stop = chase(top)
     if not chain:
         return DepthReport("chain", depth=0, chain=None, stop=stop, search=top)
     return DepthReport("chain", depth=len(chain),

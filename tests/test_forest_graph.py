@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -263,5 +264,21 @@ class TestConnectivity:
         assert report.order == 1 and report.connected
 
     def test_exhaustive_connected(self):
+        # order, connectivity and diameter against a BFS from every vertex of F
         for g in small_corpus(5):
-            assert finite_connectivity_check(g).connected
+            fg = build_forest_graph(g).graph
+            n = fg.vertex_count
+            dist = [bfs_distances(fg, src) for src in range(n)]
+            assert all(-1 not in row for row in dist), g
+            assert finite_connectivity_check(g) == (n, True, max(map(max, dist))), g
+
+    def test_over_budget_refused_with_count(self):
+        with pytest.raises(BudgetError) as err:
+            finite_connectivity_check(complete_graph(7), budget=16806)
+        assert err.value.count == 16807
+
+    def test_k7_without_building_f(self):
+        start = time.perf_counter()
+        report = finite_connectivity_check(complete_graph(7))
+        assert (report.order, report.diameter) == (16807, 6)
+        assert time.perf_counter() - start < 2

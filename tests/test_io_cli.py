@@ -378,6 +378,29 @@ class TestCliRootSearch:
         assert err == "budget exceeded: isomorphism limited to 12 vertices (got 16)\n"
         assert orders == [1, 2, 3, 4]
 
+    K4 = format_edge_list(complete_graph(4))
+
+    @pytest.mark.parametrize("budget, want", [
+        ([], "roots=1\nroot=4:0-2,0-3,1-2,1-3\nkind=chain\ndepth=1\n"
+             "stop=bipartite\nprovable=true\n"),
+        (["--max-vertices", "3"], "roots=0\ncertificate=exhausted-budget\nkind=chain\n"
+                                  "depth=0\nstop=exhausted-budget\nprovable=false\n"),
+    ])
+    def test_max_vertices_bounds_the_search(self, capsys, budget, want):
+        # K_4 = F(C_4), and C_4 has 4 vertices
+        code, out, err = run_cli(["roots", "-", "--format", "structured"] + budget,
+                                 self.K4, capsys)
+        assert (code, out, err) == (0, want, "")
+
+    @pytest.mark.parametrize("argv", [["roots", "-", "--max-edges", "3"],
+                                      ["depth", "-", "--max-depth", "2"]])
+    def test_removed_budget_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            run_cli(argv, self.K4, capsys)
+        out, err = capsys.readouterr()
+        assert stop.value.code == 2 and out == ""
+        assert err.startswith("usage: ") and "unrecognized arguments" in err
+
 
 class TestCliErrors:
     def test_loop_edge_exit_2(self, capsys):

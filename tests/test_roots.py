@@ -118,12 +118,6 @@ class TestFindRoots:
             assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in fg.edges) \
                 == sorted(g.edges)
 
-    def test_max_edges_filter(self):
-        # K_4 has minimum degree 3, so the bound allows 4 edges: 3 is a budget
-        result = find_roots(complete_graph(4), max_edges=3)
-        assert not result.found()
-        assert result.certificate.reason == REASON_EXHAUSTED
-
     def test_k5_minus_edge_exhausted(self):
         # the degree bound allows 4 vertices; a budget of 3 proves nothing
         result = find_roots(K5_MINUS_EDGE, max_vertices=3)
@@ -239,6 +233,21 @@ class TestDepth:
     def test_report_carries_the_root_search(self):
         for g in (complete_graph(4), complete_graph(5), cycle_graph(4)):
             assert depth_lower_bound(g).search == find_roots(g)
+
+    def test_roots_shrink_until_a_cycle(self):
+        # what ends the chase: a root H of a graph on N vertices has N forests,
+        # and a connected isthmus-free H has at least |V(H)| of them, with
+        # equality exactly for a cycle
+        tried = 0
+        for n in range(3, 7):
+            for h in enumerate_graphs(n):
+                if len(components(h)) != 1 or bridges(h):
+                    continue
+                count = count_maximal_forests(h)
+                is_cycle = all(h.degree(v) == 2 for v in range(n))
+                assert count >= n and (count == n) == is_cycle, h
+                tried += 1
+        assert tried == 75
 
     def test_chain_certificate_maps_check_edges(self):
         report = depth_lower_bound(complete_graph(4))
