@@ -96,19 +96,20 @@ def check_forest_graph_shape(max_n=5):
     return CheckResult("forest-graph-shape", True, f"{tried} graphs")
 
 
-def divergence_growth_evidence(g, fg, exact_cap=EXACT_GROWTH_CAP):
+def divergence_growth_evidence(g, fg):
     """Certify count(F(g)) > count(g) for divergent g, exactly or by exchange bound.
 
-    Small forest graphs get the exact determinant comparison.  For larger ones
-    the bound count(F(g)) >= 1 + 2(m - N + 1) applies (one fixed spanning tree
-    plus its single exchanges, each non-tree edge contributing at least two,
-    all distinct); when even that fails to clear N the exact determinant runs
+    Forest graphs of at most EXACT_GROWTH_CAP vertices get the exact
+    determinant comparison.  For larger ones the bound
+    count(F(g)) >= 1 + 2(m - N + 1) applies (one fixed spanning tree plus its
+    single exchanges, each non-tree edge contributing at least two, all
+    distinct); when even that fails to clear N the exact determinant runs
     regardless.
     """
     c0 = len(fg.family)
     n = fg.graph.vertex_count
     m = len(fg.graph.edges)
-    if c0 <= exact_cap:
+    if c0 <= EXACT_GROWTH_CAP:
         c1 = forests.count_maximal_forests(fg.graph)
         return {"mode": "exact", "grew": c1 > c0, "count": c0, "next_count": c1}
     bound = 1 + 2 * (m - n + 1)

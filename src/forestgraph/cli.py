@@ -203,19 +203,14 @@ def cmd_roots(args, g) -> int:
             print(f"certificate={result.certificate.reason}")
         _print_depth(report)
         return 0
-    if report.kind == "stable":
-        names = ", ".join(_describe(r) for r in result.roots)
-        print(f"{len(result.roots)} root: {names}; depth unbounded (stable)"
-              if len(result.roots) == 1 else
-              f"{len(result.roots)} roots: {names}; depth unbounded (stable)")
-        return 0
-    if not result.found():
+    if report.kind != "stable" and not result.found():
         print(f"no roots ({result.certificate.reason})")
         return 0
     names = ", ".join(_describe(r) for r in result.roots)
     plural = "root" if len(result.roots) == 1 else "roots"
     stop = f"; chain stops ({report.stop.reason})" if report.stop is not None else ""
-    print(f"{len(result.roots)} {plural}: {names}; depth >= {report.depth}{stop}")
+    depth = "unbounded (stable)" if report.kind == "stable" else f">= {report.depth}{stop}"
+    print(f"{len(result.roots)} {plural}: {names}; depth {depth}")
     return 0
 
 

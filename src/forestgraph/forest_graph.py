@@ -10,10 +10,11 @@ the enumeration crosses the blocks in, into its final neighbour tuples.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-from .forests import (FOREST_BUDGET, _find, _forest_parents, _forest_product, _trusted_forest,
-                      maximal_forests)
+from .forests import (FOREST_BUDGET, _block_trees, _find, _forest_parents, _forest_product,
+                      _trusted_forest)
 from .graphs import Graph, GraphInputError, _ids
 
 
@@ -62,8 +63,9 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     for block, trees in factors:
         count = len(trees)
         stride //= count
-        if len({v for i in block for v in g.edges[i]}) == len(block):
-            # a cycle: each tree drops one edge, so all are one exchange apart
+        if count == len(block):
+            # a cycle (any other block has more trees than edges): each tree
+            # drops one edge, so all are one exchange apart
             runs = [(range(0, t * stride, stride), range((t + 1) * stride, count * stride, stride))
                     for t in range(count)]
         else:
@@ -140,24 +142,31 @@ ConnectivityReport = namedtuple("ConnectivityReport", "order connected diameter"
 
 
 def finite_connectivity_check(g, budget=FOREST_BUDGET) -> ConnectivityReport:
-    """Order, connectivity and diameter of F(g), read off its forests without
-    building F(g); refuses over budget as `maximal_forests` does.
+    """Order, connectivity and diameter of F(g), read off its blocks' trees
+    without building F(g) or crossing the blocks; refuses over budget as
+    `maximal_forests` does.
 
     F(g) is connected by the exchange property.  Forests T and T' lie
     |T' - T| exchanges apart, and a forest T' can take in any maximal forest
     of the edges outside T, so the farthest forest from T is r(E - T) away,
-    the rank of the edges outside T in the cycle matroid.
+    the rank of the edges outside T in the cycle matroid.  That rank and
+    F(g) itself split over the blocks, so the diameter is the sum over the
+    blocks of the largest r(B - T) over the block's trees T.
     """
-    family = maximal_forests(g, budget)
-    full = (1 << len(g.edges)) - 1
-    diameter = 0
-    for forest in family:
-        parent = list(range(g.vertex_count))
-        for i in _ids(full & ~forest.bits):
-            u, v = g.edges[i]
-            parent[_find(parent, u)] = _find(parent, v)
-        # each union that joins two pieces turns one root into a non-root,
-        # so the non-roots count the rank
-        diameter = max(diameter, sum(p != v for v, p in enumerate(parent)))
-    return ConnectivityReport(len(family), True, diameter)
+    factors = _block_trees(g, budget)
+    diameter = sum(max(_rank(g, [i for i in block if not tree >> i & 1]) for tree in trees)
+                   for block, trees in factors)
+    return ConnectivityReport(math.prod(len(trees) for _, trees in factors), True, diameter)
 
+
+def _rank(g, ids):
+    """Rank of the edges ids in the cycle matroid: the union-find joins of two pieces."""
+    parent = {}
+    rank = 0
+    for i in ids:
+        u, v = g.edges[i]
+        ru, rv = _find(parent, parent.setdefault(u, u)), _find(parent, parent.setdefault(v, v))
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank

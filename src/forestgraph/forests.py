@@ -4,11 +4,14 @@ A maximal forest takes one spanning tree per connected component.  Every
 cycle lies inside one block (biconnected component), so the cycle matroid is
 the direct sum of the blocks' matroids: a maximal forest is the bridges plus
 one spanning tree of each larger block, and the count is the product of the
-blocks' spanning-tree counts.  Counting always happens before enumerating;
-enumeration refuses to start when the exact count exceeds the caller's budget.
+blocks' spanning-tree counts.  Enumeration reads the blocks once, counts
+each block's trees before listing any, and refuses to start when the exact
+count exceeds the caller's budget.
 """
 
 from __future__ import annotations
+
+import math
 
 from .graphs import BudgetError, GraphInputError, _ids, _mask, blocks, components
 
@@ -120,12 +123,9 @@ def _forest_parents(g, bits):
     return parent
 
 
-def _det_bareiss(mat):
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in mat]
+def _det_bareiss(a):
+    """Exact determinant of an integer matrix by fraction-free elimination in place."""
     n = len(a)
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -149,38 +149,29 @@ def _det_bareiss(mat):
 
 
 def _tree_count(g, block):
-    """Spanning trees of one block (its edge ids) via a Laplacian cofactor."""
-    verts = sorted({v for i in block for v in g.edges[i]})
-    if len(verts) == len(block):
-        # a cycle: each spanning tree drops one of its edges
+    """Spanning trees of one block (its edge ids): its edge count for a bridge or
+    a cycle, else the determinant of its Laplacian less row and column 0."""
+    verts = {v for i in block for v in g.edges[i]}
+    if len(verts) >= len(block):
+        # a bridge is its one tree; each tree of a cycle drops one of its edges
         return len(block)
-    pos = {v: i for i, v in enumerate(verts[1:])}
-    k = len(verts) - 1
-    mat = [[0] * k for _ in range(k)]
+    pos = {v: k for k, v in enumerate(verts)}
+    mat = [[0] * len(pos) for _ in pos]
     for i in block:
         u, v = g.edges[i]
-        iu = pos.get(u)
-        iv = pos.get(v)
-        if iu is not None:
-            mat[iu][iu] += 1
-        if iv is not None:
-            mat[iv][iv] += 1
-        if iu is not None and iv is not None:
-            mat[iu][iv] -= 1
-            mat[iv][iu] -= 1
-    return _det_bareiss(mat)
+        u, v = pos[u], pos[v]
+        mat[u][u] += 1
+        mat[v][v] += 1
+        mat[u][v] -= 1
+        mat[v][u] -= 1
+    return _det_bareiss([row[1:] for row in mat[1:]])
 
 
 def count_maximal_forests(g) -> int:
     """Exact number of maximal forests: the product over the blocks of g of
-    each block's spanning-tree count: a cycle block's length, else one
-    Laplacian-cofactor determinant (matrix-tree theorem).  Bridges and
-    isolated vertices contribute a factor of 1."""
-    total = 1
-    for block in blocks(g):
-        if len(block) > 1:
-            total *= _tree_count(g, block)
-    return total
+    each block's spanning-tree count, a cycle block's length or else one
+    Laplacian-cofactor determinant (matrix-tree theorem)."""
+    return math.prod(_tree_count(g, block) for block in blocks(g) if len(block) > 1)
 
 
 def _spanning_trees(g, block):
@@ -226,15 +217,31 @@ def _spanning_trees(g, block):
     return out
 
 
+def _block_trees(g, budget):
+    """(block, trees) for each block of g in block order, trees the bitmasks of
+    the block's spanning trees, from one pass over the blocks: the exact count
+    is refused over budget before any tree is listed, and each block's list
+    is checked against its own count."""
+    found = [(block, _tree_count(g, block)) for block in blocks(g)]
+    count = math.prod(want for _, want in found)
+    if count > budget:
+        raise BudgetError(
+            f"graph has {count} maximal forests, over the budget of {budget}",
+            count=count, budget=budget)
+    factors = [(block, _spanning_trees(g, block)) for block, _ in found]
+    if [len(trees) for _, trees in factors] != [want for _, want in found]:
+        raise AssertionError("a block's enumerated trees disagree with its determinant")
+    return factors
+
+
 def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
     """Enumerate every maximal forest; refuses (with the exact count) over budget.
 
-    Each block's spanning trees are enumerated on the block's own edges (a
-    bridge's one tree is itself) and crossed with the other blocks' trees.
-    The family is sorted once into lexicographic order of edge-id tuples.
-    For edge sets of one size that order puts first the set owning the
-    lowest edge of the symmetric difference, so it sorts the bit strings
-    read from edge 0 up, highest first.
+    The trees `_block_trees` lists per block are crossed into the family,
+    which is sorted once into lexicographic order of edge-id tuples.  For
+    edge sets of one size that order puts first the set owning the lowest
+    edge of the symmetric difference, so it sorts the bit strings read from
+    edge 0 up, highest first.
     """
     return _forest_product(g, budget)[0]
 
@@ -248,27 +255,16 @@ def _forest_product(g, budget):
     factors lists (block, trees) for each block with two or more trees, in
     block order; a tree's number is its index in trees.
     """
-    count = count_maximal_forests(g)
-    if count > budget:
-        raise BudgetError(
-            f"graph has {count} maximal forests, over the budget of {budget}",
-            count=count, budget=budget)
+    factors = _block_trees(g, budget)
     members = [0]
-    factors = []
-    for block in blocks(g):
-        trees = _spanning_trees(g, block)
-        if len(trees) > 1:
-            factors.append((block, trees))
+    for block, trees in factors:
         # the crossing order makes each member's index its product position
         members = [bits | tree for bits in members for tree in trees]
     width = len(g.edges)
     keys = [f"{bits:0{width}b}"[::-1] for bits in members]
     positions = sorted(range(len(members)), key=keys.__getitem__, reverse=True)
     family = ForestFamily(g, (_trusted_forest(g, members[p]) for p in positions))
-    if len(family) != count:
-        raise AssertionError(
-            f"enumerated {len(family)} forests but the determinant says {count}")
-    return family, positions, factors
+    return family, positions, [(block, trees) for block, trees in factors if len(trees) > 1]
 
 
 def extend_to_maximal(g, partial) -> MaximalForest:

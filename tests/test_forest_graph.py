@@ -13,7 +13,7 @@ from forestgraph import (BudgetError, Graph, GraphInputError, MaximalForest,
                          enumerate_graphs, exchange_path,
                          finite_connectivity_check, forest_distance,
                          is_isomorphic, maximal_forests, path_graph)
-from forestgraph import forests
+from forestgraph import forest_graph, forests, graphs
 
 from .oracles import (bfs_distances, brute_force_exchange_path, bucket_join_edges,
                       dc_spanning_trees, neighbour_tuples)
@@ -250,10 +250,15 @@ class TestExchangePath:
         assert [f.bits for f in first] == [f.bits for f in second]
 
 
+def triangle_chain(k):
+    """k triangles in a row, each sharing one cut vertex with the next."""
+    return Graph(2 * k + 1, [e for i in range(0, 2 * k, 2)
+                             for e in ((i, i + 1), (i, i + 2), (i + 1, i + 2))])
+
+
 class TestConnectivity:
     def test_k4(self):
-        report = finite_connectivity_check(complete_graph(4))
-        assert report.order == 16 and report.connected and report.diameter <= 3
+        assert finite_connectivity_check(complete_graph(4)) == (16, True, 3)
 
     def test_bowtie(self):
         report = finite_connectivity_check(BOWTIE)
@@ -265,7 +270,7 @@ class TestConnectivity:
 
     def test_exhaustive_connected(self):
         # order, connectivity and diameter against a BFS from every vertex of F
-        for g in small_corpus(5):
+        for g in product_corpus():
             fg = build_forest_graph(g).graph
             n = fg.vertex_count
             dist = [bfs_distances(fg, src) for src in range(n)]
@@ -282,3 +287,32 @@ class TestConnectivity:
         report = finite_connectivity_check(complete_graph(7))
         assert (report.order, report.diameter) == (16807, 6)
         assert time.perf_counter() - start < 2
+
+    def test_triangle_chain_summed_per_block(self):
+        # 3^12 forests, one exchange of diameter per triangle
+        start = time.perf_counter()
+        assert finite_connectivity_check(triangle_chain(12)) == (531441, True, 12)
+        assert time.perf_counter() - start < 0.1
+
+    def test_triangle_chain_over_budget(self):
+        with pytest.raises(BudgetError) as err:
+            finite_connectivity_check(triangle_chain(13))
+        assert err.value.count == 3 ** 13 == 1594323
+
+
+class TestOneBlockPass:
+    @pytest.mark.parametrize("build", [maximal_forests, build_forest_graph,
+                                       finite_connectivity_check])
+    def test_blocks_run_once(self, monkeypatch, build):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return graphs.blocks(g)
+
+        for module in (forests, forest_graph):
+            monkeypatch.setattr(module, "blocks", counted, raising=False)
+        for g in (complete_graph(4), BOWTIE, triangle_chain(3), path_graph(3)):
+            calls.clear()
+            build(g)
+            assert calls == [g]

@@ -233,6 +233,15 @@ class TestCliGolden:
         code, out, _ = run_cli(["roots", "-"], c4, capsys)
         assert code == 0 and out == "no roots (bipartite)\n"
 
+    @pytest.mark.parametrize("bound, want", [
+        ([], "1 root: K_3; depth unbounded (stable)\n"),
+        # no root of K_3 has 2 vertices, and K_3 is still stable
+        (["--max-vertices", "2"], "0 roots: ; depth unbounded (stable)\n"),
+    ])
+    def test_roots_stable(self, capsys, bound, want):
+        code, out, _ = run_cli(["roots", "-"] + bound, "0 1\n1 2\n0 2\n", capsys)
+        assert (code, out) == (0, want)
+
     def test_stable(self, capsys):
         code, out, _ = run_cli(["stable", "-"], "0 1\n1 2\n0 2\n", capsys)
         assert code == 0 and out == "stable\n"
