@@ -11,7 +11,7 @@ from .dynamics import (CliqueWitness, GrowthReport, GrowthStep, Verdict,
                        classify, clique_witness_from_complete,
                        clique_witness_from_cycle,
                        clique_witness_from_two_triangles, is_stable, iterate_F,
-                       verify_clique_growth)
+                       ring_witness_from_clique, verify_clique_growth)
 from .forest_graph import (ConnectivityReport, ForestGraph, build_forest_graph,
                            exchange_path, finite_connectivity_check,
                            forest_distance)
@@ -47,6 +47,6 @@ __all__ = [
     "format_edge_list", "is_bipartite", "is_isomorphic",
     "is_stable", "iterate_F", "max_clique", "maximal_forests", "no_root_prune",
     "parse_dot", "parse_edge_list", "parse_graph", "path_graph",
-    "verify_clique_growth", "whitney_identify",
+    "ring_witness_from_clique", "verify_clique_growth", "whitney_identify",
     "whitney_split", "whitney_twist",
 ]

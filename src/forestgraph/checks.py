@@ -121,47 +121,19 @@ def divergence_growth_evidence(g, fg):
 
 def divergence_bigger_clique(g, fg):
     """A verified clique witness in F^2(g) strictly larger than any clique of g,
-    lifted from the ring of `_bigger_clique_ring` checked edge by edge in F(g)."""
+    lifted from a ring of forests of g checked edge by edge in F(g), or None
+    when g converges.  The ring is built: the chord ring of a maximum clique
+    of four or more vertices, else the first witness of g's clique growth."""
     clique = graphs.max_clique(g)
-    ring = _bigger_clique_ring(g, clique)
-    if ring is None:
-        return None
-    ring = graphs.Cycle(fg.graph, [fg.forest_index(f) for f in ring])
-    witness = dynamics.clique_witness_from_cycle(fg.graph, ring)
-    if not witness.verify() or witness.size <= len(clique):
-        return None
-    return witness
-
-
-def _bigger_clique_ring(g, clique):
-    """Maximal forests of g, each one exchange from the next and the last from
-    the first, more of them than the vertices of `clique`, a maximum clique
-    of g; None when g converges.  Built, not searched for: with clique
-    v_1 < ... < v_w and w >= 4, the pairwise adjacent forests of its cycle
-    v_1 ... v_w, each cutting one cycle edge, run from the one cutting v_w v_1
-    to the one cutting v_2 v_3, and the forest cutting both and taking the
-    chord v_1 v_3 closes the ring.  With w <= 3 the divergence witness of
-    `classify` gives it: a long cycle's forests, or two triangles' nine
-    forests walked along `GRID_CYCLE`.
-    """
     if len(clique) >= 4:
-        cycle = graphs.Cycle(g, clique)
-        # clique_witness_from_cycle lists its forests by cut edge, in id order
-        cut = dict(zip(sorted(cycle.edge_ids),
-                       dynamics.clique_witness_from_cycle(g, cycle).forests))
-        first = cut.pop(g.edge_index(clique[0], clique[-1]))
-        last_edge = g.edge_index(clique[1], clique[2])
-        last = cut.pop(last_edge)
-        chord = first.bits ^ (1 << last_edge) | (1 << g.edge_index(clique[0], clique[2]))
-        return [forests.MaximalForest(g, chord), first,
-                *cut.values(), last]
-    verdict = dynamics.classify(g)
-    if verdict.status != dynamics.DIVERGENT:
+        seed = dynamics.ring_witness_from_clique(g, clique)
+    elif dynamics.classify(g).status == dynamics.DIVERGENT:
+        seed = dynamics.verify_clique_growth(g, 1).steps[0].witness
+    else:
         return None
-    if verdict.witness_kind == dynamics.WITNESS_LONG_CYCLE:
-        return list(dynamics.clique_witness_from_cycle(g, verdict.witness[0]).forests)
-    grid = dynamics.clique_witness_from_two_triangles(g, *verdict.witness).forests
-    return [grid[i] for i in dynamics.GRID_CYCLE]
+    ring = graphs.Cycle(fg.graph, [fg.forest_index(f) for f in seed.forests])
+    witness = dynamics.clique_witness_from_cycle(fg.graph, ring)
+    return witness if witness.verify() and witness.size > len(clique) else None
 
 
 def check_convergence(max_n=5, budget=forests.FOREST_BUDGET):
@@ -199,15 +171,16 @@ def check_convergence(max_n=5, budget=forests.FOREST_BUDGET):
 
 
 def check_stability(max_n=5):
-    """Stable graphs on the corpus are exactly the one-vertex graph and the triangle."""
-    stable = []
+    """Stable graphs on the corpus, F(g) isomorphic to g by definition, are
+    the two `is_stable` names by the theorem: the one-vertex graph and K_3."""
+    stable = 0
     for g in _small_corpus(min(max_n, 5)):
-        if dynamics.is_stable(g):
-            stable.append(g)
-    ok = (len(stable) == 2
-          and any(graphs.is_isomorphic(s, graphs.complete_graph(1)) for s in stable)
-          and any(graphs.is_isomorphic(s, graphs.complete_graph(3)) for s in stable))
-    return CheckResult("stability-k1-k3", ok, f"stable set size {len(stable)}")
+        defined = (forests.count_maximal_forests(g) == g.vertex_count
+                   and graphs.is_isomorphic(forest_graph.build_forest_graph(g).graph, g))
+        if defined != dynamics.is_stable(g):
+            return CheckResult("stability-k1-k3", False, f"is_stable disagrees on {g!r}")
+        stable += defined
+    return CheckResult("stability-k1-k3", stable == 2, f"stable set size {stable}")
 
 
 def check_root_exclusions():
@@ -345,7 +318,7 @@ def check_clique_path_swap():
 
 
 def check_triangle_grid():
-    """Two edge-disjoint triangles: F is the 3x3 grid pattern, then a 9-clique."""
+    """Two edge-disjoint triangles: F is the 3x3 grid, whose 9-ring gives a 9-clique."""
     bowtie = graphs.Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     fg = forest_graph.build_forest_graph(bowtie)
     rook = graphs.cartesian_product(graphs.cycle_graph(3), graphs.cycle_graph(3))

@@ -182,7 +182,7 @@ def cmd_classify(args, g) -> int:
 
 
 def cmd_stable(args, g) -> int:
-    flag = is_stable(g, args.budget)
+    flag = is_stable(g)
     if args.format == "structured":
         print(f"stable={'true' if flag else 'false'}")
     else:

@@ -8,18 +8,19 @@ witnessed by a cycle of length at least 4 or by two edge-disjoint triangles,
 and cliques in the iterates then grow without bound.  `classify` reads the
 verdict and its witness off the blocks of the graph by construction, with no
 search: a long cycle comes from one depth-first tree of a block on four or
-more vertices.  The witness constructions below build the growing cliques
-explicitly as sets of pairwise-exchangeable forests, so a claim about F^k can
-be verified without ever materializing F^k itself.
+more vertices.  The witness constructions below list the growing cliques and
+rings explicitly as forests of small graphs that embed in the iterates, so a
+claim about F^k can be verified without materializing any iterate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
-from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, extend_to_maximal
-from .graphs import BudgetError, Cycle, GraphInputError, blocks, is_isomorphic
+from .forests import FOREST_BUDGET, MaximalForest, extend_to_maximal
+from .graphs import BudgetError, Cycle, GraphInputError, blocks, complete_graph, cycle_graph
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -159,57 +160,52 @@ def _long_cycle_in_block(g, block) -> Cycle:
     return Cycle(g, (root, x, parent[x], y))
 
 
-def is_stable(g, budget=FOREST_BUDGET) -> bool:
-    """Whether F(g) is isomorphic to g.  Holds exactly for K_1 and K_3."""
-    if count_maximal_forests(g) != g.vertex_count:
-        return False
-    return is_isomorphic(build_forest_graph(g, budget).graph, g)
+def is_stable(g) -> bool:
+    """Whether F(g) is isomorphic to g: by the theorem, exactly for K_1 and K_3."""
+    return (g.vertex_count, len(g.edges)) in ((1, 0), (3, 3))
 
 
 CLIQUE_FROM_CYCLE = "cycle-swap"
 CLIQUE_FROM_COMPLETE = "clique-path-swap"
-TRIANGLE_PAIR_GRID = "triangle-pair-grid"
-# a Hamiltonian cycle of the 3 x 3 grid C_3 x C_3, cells numbered row-major
-GRID_CYCLE = (0, 1, 2, 5, 3, 4, 7, 8, 6)
+RING_FROM_CLIQUE = "clique-chord-ring"
+RING_FROM_TRIANGLES = "triangle-pair-ring"
 
 
 @dataclass(frozen=True)
 class CliqueWitness:
-    """Explicit forests of `host` that are pairwise one exchange apart.
-
-    `construction` records which rule produced it.  A clique witness of
-    size s in F(host) is, equivalently, a K_s inside the forest graph of host;
-    the triangle-pair construction instead yields nine forests arranged as
-    C_3 x C_3 (adjacency exactly between grid neighbors), whose 9-cycle seeds
-    the next clique step.
-    """
+    """Forests of `host` pairwise one exchange apart, a K_s in F(host), or with
+    `ring` set each one exchange from the next and the last from the first,
+    a C_s there; `construction` names the rule that built them."""
 
     host: object
     construction: str
     forests: tuple
-    grid_shape: tuple = None
+    ring: bool = False
 
     @property
     def size(self):
         return len(self.forests)
 
     def verify(self) -> bool:
-        """Re-check the claimed adjacency pattern definitionally."""
-        diff = [[(a.bits ^ b.bits).bit_count() for b in self.forests] for a in self.forests]
-        n = len(self.forests)
-        if self.construction == TRIANGLE_PAIR_GRID:
-            rows, cols = self.grid_shape
-            for i in range(n):
-                for j in range(n):
-                    want = 0 if i == j else (2 if (i // cols == j // cols) != (i % cols == j % cols) else 4)
-                    if diff[i][j] != want:
-                        return False
-            return True
-        for i in range(n):
-            for j in range(n):
-                if diff[i][j] != (0 if i == j else 2):
-                    return False
-        return True
+        """Re-check the pattern definitionally: every pair of a clique one
+        exchange apart, or a ring's forests distinct and each consecutive
+        pair, the last and the first included, one exchange apart."""
+        fs = self.forests
+        if not self.ring:
+            return all((a.bits ^ b.bits).bit_count() == 2 for a, b in itertools.combinations(fs, 2))
+        return (len({f.bits for f in fs}) == len(fs) >= 3
+                and all((a.bits ^ b.bits).bit_count() == 2 for a, b in zip(fs, fs[1:] + fs[:1])))
+
+
+def _clique(g, vertices, least):
+    """The sorted vertices of a complete subgraph of g on `least` or more of them."""
+    vs = sorted(set(vertices))
+    if len(vs) != len(tuple(vertices)) or len(vs) < least:
+        raise GraphInputError(f"need at least {least} distinct clique vertices")
+    for u, v in itertools.combinations(vs, 2):
+        if not g.has_edge(u, v):
+            raise GraphInputError(f"vertices {u} and {v} are not adjacent; not a clique")
+    return vs
 
 
 def clique_witness_from_cycle(g, cycle) -> CliqueWitness:
@@ -222,8 +218,7 @@ def clique_witness_from_cycle(g, cycle) -> CliqueWitness:
         raise GraphInputError("cycle does not belong to the given graph")
     edge_ids = sorted(cycle.edge_ids)
     cyc_bits = cycle.edge_bits()
-    base = extend_to_maximal(g, cyc_bits ^ (1 << edge_ids[0]))
-    outside = base.bits & ~cyc_bits
+    outside = extend_to_maximal(g, cyc_bits ^ (1 << edge_ids[0])).bits & ~cyc_bits
     forests = tuple(MaximalForest(g, outside | (cyc_bits ^ (1 << eid)))
                     for eid in edge_ids)
     return CliqueWitness(g, CLIQUE_FROM_CYCLE, forests)
@@ -236,14 +231,7 @@ def clique_witness_from_complete(g, vertices) -> CliqueWitness:
     forest, and swap the middle path edge for every clique edge that crosses
     the middle cut.
     """
-    vs = sorted(set(vertices))
-    if len(vs) != len(tuple(vertices)) or len(vs) < 2:
-        raise GraphInputError("need at least two distinct clique vertices")
-    for i in range(len(vs) - 1):
-        for j in range(i + 1, len(vs)):
-            if not g.has_edge(vs[i], vs[j]):
-                raise GraphInputError(
-                    f"vertices {vs[i]} and {vs[j]} are not adjacent; not a clique")
+    vs = _clique(g, vertices, 2)
     path_ids = [g.edge_index(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
     base = extend_to_maximal(g, path_ids)
     half = len(vs) // 2
@@ -257,8 +245,27 @@ def clique_witness_from_complete(g, vertices) -> CliqueWitness:
     return CliqueWitness(g, CLIQUE_FROM_COMPLETE, tuple(forests))
 
 
+def ring_witness_from_clique(g, vertices) -> CliqueWitness:
+    """From a complete subgraph on w >= 4 vertices v_1 < ... < v_w, a ring of
+    w + 1 forests: the clique of the cycle v_1 ... v_w's forests, walked from
+    the one cutting v_w v_1 to the one cutting v_2 v_3, closed by the forest
+    that cuts both and takes the chord v_1 v_3."""
+    vs = _clique(g, vertices, 4)
+    cycle = Cycle(g, vs)
+    # clique_witness_from_cycle lists its forests by cut edge, in id order
+    cut = dict(zip(sorted(cycle.edge_ids), clique_witness_from_cycle(g, cycle).forests))
+    first = cut.pop(g.edge_index(vs[0], vs[-1]))
+    last_edge = g.edge_index(vs[1], vs[2])
+    last = cut.pop(last_edge)
+    chord = first.bits ^ (1 << last_edge) | (1 << g.edge_index(vs[0], vs[2]))
+    return CliqueWitness(g, RING_FROM_CLIQUE,
+                         (MaximalForest(g, chord), first, *cut.values(), last), ring=True)
+
+
 def clique_witness_from_two_triangles(g, t1, t2) -> CliqueWitness:
-    """From two edge-disjoint triangles, nine forests arranged as C_3 x C_3."""
+    """From two edge-disjoint triangles, the ring of the nine forests that drop
+    one edge of each, along a Hamiltonian cycle of their grid C_3 x C_3: row
+    r drops t1's r-th edge and starts at t2's (-r)-th, where row r - 1 ends."""
     for t in (t1, t2):
         if not (t.host is g or t.host == g):
             raise GraphInputError("triangle does not belong to the given graph")
@@ -269,24 +276,24 @@ def clique_witness_from_two_triangles(g, t1, t2) -> CliqueWitness:
     e1 = sorted(t1.edge_ids)
     e2 = sorted(t2.edge_ids)
     union = t1.edge_bits() | t2.edge_bits()
-    first = extend_to_maximal(g, union ^ (1 << e1[0]) ^ (1 << e2[0]))
-    outside = first.bits & ~union
-    forests = []
-    for i in e1:
-        for j in e2:
-            bits = outside | (union ^ (1 << i) ^ (1 << j))
-            forests.append(MaximalForest(g, bits))
-    return CliqueWitness(g, TRIANGLE_PAIR_GRID, tuple(forests), grid_shape=(3, 3))
+    outside = extend_to_maximal(g, union ^ (1 << e1[0]) ^ (1 << e2[0])).bits & ~union
+    forests = tuple(MaximalForest(g, outside | (union ^ (1 << i) ^ (1 << j)))
+                    for r, i in enumerate(e1) for j in e2[-r:] + e2[:-r])
+    return CliqueWitness(g, RING_FROM_TRIANGLES, forests, ring=True)
 
 
 @dataclass(frozen=True)
 class GrowthStep:
-    """One verified stage of clique growth: a witness inside F^k(g)."""
+    """One stage of clique growth: a clique or ring witness inside F^k(g), and
+    whether it passed its own `verify`."""
 
     k: int
-    size: int
-    construction: str
+    witness: CliqueWitness
     verified: bool
+
+    @property
+    def size(self):
+        return self.witness.size
 
 
 @dataclass(frozen=True)
@@ -298,40 +305,57 @@ class GrowthReport:
         return all(s.verified for s in self.steps)
 
 
-def verify_clique_growth(g, m, budget=FOREST_BUDGET) -> GrowthReport:
-    """Exhibit and verify clique witnesses in F^1(g) .. F^m(g) for divergent g.
+def _next_shape(ring, s):
+    """(ring, size, host edges) of the witness listed after a ring or clique of
+    s: on C_s a clique of s, on K_s (s >= 5) floor(s^2/4), on K_4 a ring of 5."""
+    if ring:
+        return False, s, s
+    return (False, s * s // 4, s * (s - 1) // 2) if s >= 5 else (True, 5, 6)
 
-    Stage 1 converts the divergence witness into forests of g; each later
-    stage builds the previous iterate's forest graph explicitly and applies
-    the path-swap construction to the previous witness (after turning the
-    nine-forest grid into a 9-cycle first when needed).  Witnesses live one
-    level above the last graph built, so F^m itself is never materialized.
+
+def _grown(witness):
+    """The witness `_next_shape` names after `witness`, on C_s or K_s alone."""
+    s = witness.size
+    if witness.ring:
+        host = cycle_graph(s)
+        return clique_witness_from_cycle(host, Cycle(host, range(s)))
+    host = complete_graph(s)
+    return (clique_witness_from_complete if s >= 5 else ring_witness_from_clique)(host, range(s))
+
+
+def verify_clique_growth(g, m) -> GrowthReport:
+    """A verified clique or ring witness in each of F^1(g) .. F^m(g) for
+    divergent g, with no iterate built.
+
+    Step 1 lists forests of g: `classify`'s long cycle gives a clique of its
+    length, two triangles a ring of nine.  If K is a subgraph of H and edges
+    R outside K complete a maximal forest of K to one of H, T -> T + R embeds
+    F(K) isometrically in F(H).  So the C_s or K_s that a witness of s spans
+    in F^k(g) puts F(C_s) = K_s or F(K_s) in F^{k+1}(g), and step k + 1 lists
+    its witness on that small graph alone.  Before any step is listed, the
+    first whose witness would take more than FOREST_BUDGET 64-bit words
+    (forests times ceil(host edges / 64)) raises BudgetError with its `step`.
     """
     if m < 1:
         raise GraphInputError("need at least one growth step")
     verdict = classify(g)
     if verdict.status != DIVERGENT:
         raise GraphInputError("clique growth applies to divergent graphs only")
-    if verdict.witness_kind == WITNESS_LONG_CYCLE:
-        witness = clique_witness_from_cycle(g, verdict.witness[0])
-    else:
-        witness = clique_witness_from_two_triangles(g, verdict.witness[0], verdict.witness[1])
-    steps = [GrowthStep(1, witness.size, witness.construction, witness.verify())]
-    current = g
+    from_cycle = verdict.witness_kind == WITNESS_LONG_CYCLE
+    shapes = [(not from_cycle, verdict.witness[0].length if from_cycle else 9, len(g.edges))]
+    while len(shapes) < m:
+        shapes.append(_next_shape(*shapes[-1][:2]))
+    for k, (_, size, edges) in enumerate(shapes, 1):
+        words = size * -(-edges // 64)
+        if words > FOREST_BUDGET:
+            raise BudgetError(
+                f"growth step {k} would list {size} forests of {edges} edges, "
+                f"{words} words, over the budget of {FOREST_BUDGET}",
+                count=words, budget=FOREST_BUDGET, step=k)
+    witness = (clique_witness_from_cycle(g, *verdict.witness) if from_cycle
+               else clique_witness_from_two_triangles(g, *verdict.witness))
+    steps = [GrowthStep(1, witness, witness.verify())]
     for k in range(2, m + 1):
-        try:
-            fg = build_forest_graph(current, budget)
-        except BudgetError as err:
-            raise BudgetError(f"growth step {k} needs F^{k - 1} built: {err}",
-                              count=err.count, budget=err.budget, step=k) from None
-        member_ids = [fg.forest_index(f) for f in witness.forests]
-        if witness.construction == TRIANGLE_PAIR_GRID:
-            # the grid's forests are row-major, so this walk is a 9-cycle;
-            # Cycle checks each of its edges in F
-            ring = Cycle(fg.graph, tuple(member_ids[i] for i in GRID_CYCLE))
-            witness = clique_witness_from_cycle(fg.graph, ring)
-        else:
-            witness = clique_witness_from_complete(fg.graph, member_ids)
-        steps.append(GrowthStep(k, witness.size, witness.construction, witness.verify()))
-        current = fg.graph
+        witness = _grown(witness)
+        steps.append(GrowthStep(k, witness, witness.verify()))
     return GrowthReport(g, tuple(steps))

@@ -228,7 +228,9 @@ def _block_trees(g, budget):
         raise BudgetError(
             f"graph has {count} maximal forests, over the budget of {budget}",
             count=count, budget=budget)
-    factors = [(block, _spanning_trees(g, block)) for block, _ in found]
+    # a block with one tree is a bridge, its own tree: no search for it
+    factors = [(block, _spanning_trees(g, block) if want > 1 else [1 << block[0]])
+               for block, want in found]
     if [len(trees) for _, trees in factors] != [want for _, want in found]:
         raise AssertionError("a block's enumerated trees disagree with its determinant")
     return factors
@@ -256,15 +258,18 @@ def _forest_product(g, budget):
     block order; a tree's number is its index in trees.
     """
     factors = _block_trees(g, budget)
-    members = [0]
-    for block, trees in factors:
-        # the crossing order makes each member's index its product position
-        members = [bits | tree for bits in members for tree in trees]
     width = len(g.edges)
+    crossed = [(block, trees) for block, trees in factors if len(trees) > 1]
+    # every member holds the bridges, the blocks with one tree, so the
+    # crossing starts from their union; a one-tree block adds no digit, and
+    # the crossing order makes each member's index its product position
+    members = [_mask([block[0] for block, trees in factors if len(trees) == 1], width)]
+    for block, trees in crossed:
+        members = [bits | tree for bits in members for tree in trees]
     keys = [f"{bits:0{width}b}"[::-1] for bits in members]
     positions = sorted(range(len(members)), key=keys.__getitem__, reverse=True)
     family = ForestFamily(g, (_trusted_forest(g, members[p]) for p in positions))
-    return family, positions, [(block, trees) for block, trees in factors if len(trees) > 1]
+    return family, positions, crossed
 
 
 def extend_to_maximal(g, partial) -> MaximalForest:

@@ -23,6 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .dynamics import is_stable
 from .forest_graph import build_forest_graph
 from .forests import FOREST_BUDGET, _find, count_maximal_forests
 from .graphs import (BudgetError, Graph, GraphInputError, _ids, bridges, components,
@@ -272,8 +273,8 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
     fewer vertices than the graph above it or is a cycle on 4 or more
     vertices, which has no root (the prune or the degree bound proves it).
     """
-    if (g.vertex_count, len(g.edges)) in ((1, 0), (3, 3)):
-        return DepthReport("stable")  # K_1 or K_3, the only stable graphs
+    if is_stable(g):
+        return DepthReport("stable")
     top = find_roots(g, max_vertices, budget)
     if top.certificate is not None and top.certificate.proof_grade:
         return DepthReport("pruned", depth=0, stop=top.certificate, search=top)

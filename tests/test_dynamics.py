@@ -10,15 +10,15 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
                          build_forest_graph, classify,
                          clique_witness_from_complete, clique_witness_from_cycle,
                          clique_witness_from_two_triangles, complete_graph,
-                         cycle_graph, enumerate_graphs, is_isomorphic, is_stable,
-                         iterate_F, path_graph,
-                         verify_clique_growth)
-from forestgraph.dynamics import (CONVERGENT, DIVERGENT, GRID_CYCLE,
+                         cycle_graph, enumerate_graphs, extend_to_maximal,
+                         is_isomorphic, is_stable, iterate_F, path_graph,
+                         ring_witness_from_clique, verify_clique_growth)
+from forestgraph.dynamics import (CONVERGENT, DIVERGENT, RING_FROM_TRIANGLES,
                                   WITNESS_LONG_CYCLE, WITNESS_TWO_TRIANGLES,
                                   _long_cycle_in_block)
-from forestgraph import dynamics, forest_graph, graphs, roots
-from forestgraph.checks import _bigger_clique_ring, divergence_bigger_clique
-from forestgraph.forests import MaximalForest
+from forestgraph import checks, dynamics, forest_graph, forests, graphs, roots
+from forestgraph.checks import divergence_bigger_clique
+from forestgraph.forests import FOREST_BUDGET, MaximalForest
 
 from .oracles import brute_force_cycles, brute_force_isomorphic, unique_cycle
 
@@ -106,9 +106,9 @@ class TestClassify:
         def refuse(*args, **kwargs):
             raise AssertionError("classify ran a search")
 
-        # the budgeted searches left in graphs
+        # the budgeted searches left in graphs; dynamics imports none of them
         for module, name in ((graphs, "max_clique"), (graphs, "find_isomorphism"),
-                             (dynamics, "is_isomorphic")):
+                             (graphs, "is_isomorphic")):
             monkeypatch.setattr(module, name, refuse)
         for g in [g for n in range(1, 7) for g in enumerate_graphs(n)] + [TRAP]:
             verdict = classify(g)
@@ -240,6 +240,20 @@ class TestStability:
     def test_c4_not_stable(self):
         assert not is_stable(cycle_graph(4))
 
+    def test_verify_checks_the_theorem(self, monkeypatch):
+        assert checks.check_stability(4).ok
+        monkeypatch.setattr(dynamics, "is_stable", lambda g: g.vertex_count == 1)
+        result = checks.check_stability(4)
+        assert not result.ok and "disagrees" in result.detail
+
+    def test_answered_by_theorem(self, monkeypatch):
+        g = cycle_graph(10**5)
+        start = time.perf_counter()
+        assert not is_stable(g)
+        assert time.perf_counter() - start < 0.01
+        monkeypatch.setattr(dynamics, "build_forest_graph", None)
+        assert is_stable(complete_graph(3)) and not is_stable(complete_graph(4))
+
 
 class TestCliqueWitnesses:
     def test_from_cycle_sizes(self):
@@ -276,21 +290,49 @@ class TestCliqueWitnesses:
         t1, t2 = verdict.witness
         witness = clique_witness_from_two_triangles(BOWTIE, t1, t2)
         assert witness.size == 9
-        assert witness.grid_shape == (3, 3)
+        assert witness.ring and witness.construction == RING_FROM_TRIANGLES
         assert witness.verify()
 
-    def test_two_triangles_grid_is_row_major(self):
-        # cell (r, c) drops the r-th edge of the first triangle and the c-th
-        # edge of the second, so the fixed 9-cycle walks grid neighbours
+    def test_two_triangles_ring_walks_the_grid(self):
+        # each forest drops one edge of each triangle, all nine pairs appear,
+        # and consecutive forests (the last and the first too) share the
+        # edge dropped from one triangle: a Hamiltonian cycle of C_3 x C_3
         t1, t2 = classify(BOWTIE).witness
         witness = clique_witness_from_two_triangles(BOWTIE, t1, t2)
-        for r, i in enumerate(sorted(t1.edge_ids)):
-            for c, j in enumerate(sorted(t2.edge_ids)):
-                dropped = (t1.edge_bits() | t2.edge_bits()) & ~witness.forests[3 * r + c].bits
-                assert dropped == (1 << i) | (1 << j)
-        assert sorted(GRID_CYCLE) == list(range(9))
-        for a, b in zip(GRID_CYCLE, GRID_CYCLE[1:] + GRID_CYCLE[:1]):
-            assert (a // 3 == b // 3) != (a % 3 == b % 3)
+        union = t1.edge_bits() | t2.edge_bits()
+        cells = []
+        for f in witness.forests:
+            dropped = union & ~f.bits
+            cells.append((dropped & t1.edge_bits(), dropped & t2.edge_bits()))
+        assert len(set(cells)) == 9
+        assert all(a.bit_count() == b.bit_count() == 1 for a, b in cells)
+        for (a, b), (c, d) in zip(cells, cells[1:] + cells[:1]):
+            assert (a == c) != (b == d)
+        # the walk the package has always used, cells numbered row-major
+        rows = [sorted(t1.edge_ids).index(a.bit_length() - 1) * 3
+                + sorted(t2.edge_ids).index(b.bit_length() - 1) for a, b in cells]
+        assert rows == [0, 1, 2, 5, 3, 4, 7, 8, 6]
+
+    def test_ring_from_clique(self):
+        for n in (4, 5, 6):
+            witness = ring_witness_from_clique(complete_graph(n), range(n))
+            assert witness.ring and witness.size == n + 1 and witness.verify()
+        # the ring is no clique: the chord forest is two exchanges from the rest
+        witness = ring_witness_from_clique(complete_graph(4), range(4))
+        assert not dynamics.CliqueWitness(witness.host, witness.construction,
+                                          witness.forests).verify()
+        with pytest.raises(GraphInputError):
+            ring_witness_from_clique(complete_graph(4), range(3))
+        with pytest.raises(GraphInputError):
+            ring_witness_from_clique(cycle_graph(4), range(4))
+
+    def test_ring_verify_is_definitional(self):
+        witness = clique_witness_from_two_triangles(BOWTIE, *classify(BOWTIE).witness)
+        fs = witness.forests
+        # a repeated forest, a broken closing pair, and a too-short ring fail
+        for forests_ in (fs[:8] + fs[:1], fs[1:2] + fs[:1] + fs[2:], fs[:2]):
+            assert not dynamics.CliqueWitness(BOWTIE, witness.construction,
+                                              forests_, ring=True).verify()
 
     def test_two_triangles_rejects_shared_edge(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -307,13 +349,40 @@ class TestCliqueWitnesses:
             family.index_of(f)  # raises if absent
 
 
+def _lift(g, report, levels):
+    """For k = 1..levels, (F^k(g), the vertices of it that step k's witness
+    maps to).  Step 1 lists forests of g.  A later step lists forests of a
+    small graph K whose vertex i is vertex i of the previous witness in
+    F^{k-1}(g), and T maps to T + R there, R the edges that complete the
+    image of the witness's first forest to a maximal forest."""
+    host = g
+    images = None
+    out = []
+    for step in report.steps[:levels]:
+        witness = step.witness
+        if images is None:
+            assert witness.host is g
+            lifted = witness.forests
+        else:
+            edge = [host.edge_index(images[a], images[b]) for a, b in witness.host.edges]
+            image = [sum(1 << edge[i] for i in f.edge_ids()) for f in witness.forests]
+            rest = extend_to_maximal(host, image[0]).bits & ~image[0]
+            lifted = [MaximalForest(host, bits | rest) for bits in image]
+        fg = build_forest_graph(host)
+        images = [fg.forest_index(f) for f in lifted]
+        out.append((fg.graph, images))
+        host = fg.graph
+    return out
+
+
 class TestCliqueGrowth:
     def test_bowtie_two_stages(self):
         report = verify_clique_growth(BOWTIE, 2)
         assert report.all_verified()
         assert [s.size for s in report.steps] == [9, 9]
-        assert report.steps[0].construction == "triangle-pair-grid"
-        assert report.steps[1].construction == "cycle-swap"
+        first, second = (s.witness for s in report.steps)
+        assert first.ring and first.construction == RING_FROM_TRIANGLES
+        assert not second.ring and second.construction == "cycle-swap"
 
     def test_cycle_growth(self):
         report = verify_clique_growth(cycle_graph(5), 2)
@@ -330,9 +399,72 @@ class TestCliqueGrowth:
             verify_clique_growth(path_graph(3), 1)
 
     def test_budget_annotated_with_step(self):
+        # step 9 would list K_2500's path swap: 1,562,500 forests of
+        # 3,123,750 edges, far over FOREST_BUDGET 64-bit words
         with pytest.raises(BudgetError) as info:
-            verify_clique_growth(cycle_graph(5), 3, budget=100)
-        assert info.value.step == 3
+            verify_clique_growth(cycle_graph(4), 9)
+        assert info.value.step == 9
+        assert info.value.budget == FOREST_BUDGET and info.value.count > FOREST_BUDGET
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(4), complete_graph(5)],
+                             ids=["C4", "K4", "K5"])
+    def test_grows_without_an_iterate(self, g):
+        start = time.perf_counter()
+        report = verify_clique_growth(g, 7)
+        assert time.perf_counter() - start < 0.1
+        assert report.all_verified()
+        assert [s.size for s in report.steps] == [4, 5, 5, 6, 9, 20, 100]
+        assert [s.witness.ring for s in report.steps] == [False, True] + [False] * 5
+
+    def test_bowtie_three_stages(self):
+        report = verify_clique_growth(BOWTIE, 3)
+        assert report.all_verified()
+        assert [s.size for s in report.steps] == [9, 9, 20]
+
+    def test_builds_no_forest_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an iterate was built")
+
+        for module, name in ((dynamics, "build_forest_graph"),
+                             (forest_graph, "build_forest_graph"),
+                             (forests, "_forest_product"), (forests, "maximal_forests")):
+            monkeypatch.setattr(module, name, refuse)
+        for g in (cycle_graph(4), complete_graph(5), BOWTIE):
+            assert verify_clique_growth(g, 7 if g is not BOWTIE else 4).all_verified()
+
+    def test_cliques_grow_strictly_from_step_3(self):
+        divergent = 0
+        for g in [g for n in range(1, 7) for g in enumerate_graphs(n)]:
+            if classify(g).status == CONVERGENT:
+                continue
+            divergent += 1
+            report = verify_clique_growth(g, 4)
+            assert report.all_verified(), g
+            cliques = [(s.k, s.size) for s in report.steps if not s.witness.ring]
+            for (_, before), (k, after) in zip(cliques, cliques[1:]):
+                assert k < 3 or after > before, g
+        assert divergent == 142
+
+    @pytest.mark.parametrize("g, m", [(cycle_graph(4), 9), (cycle_graph(200), 2)],
+                             ids=["C4-m9", "C200-m2"])
+    def test_refused_before_listing(self, g, m):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as info:
+            verify_clique_growth(g, m)
+        assert time.perf_counter() - start < 1
+        assert info.value.step == m
+
+    @pytest.mark.parametrize("g, levels", [(BOWTIE, 2), (cycle_graph(4), 2),
+                                           (cycle_graph(5), 2), (complete_graph(4), 1)],
+                             ids=["bowtie", "C4", "C5", "K4"])
+    def test_witness_embeds_in_built_iterate(self, g, levels):
+        report = verify_clique_growth(g, levels)
+        for step, (fk, ids) in zip(report.steps, _lift(g, report, levels)):
+            assert len(set(ids)) == step.size
+            if step.witness.ring:
+                assert all(fk.has_edge(a, b) for a, b in zip(ids, ids[1:] + ids[:1]))
+            else:
+                assert all(fk.has_edge(a, b) for a, b in itertools.combinations(ids, 2))
 
 
 class TestBiggerClique:
@@ -350,14 +482,19 @@ class TestBiggerClique:
         assert witness.size == size and witness.verify()
 
     def test_ring_forests_adjacent_in_forest_graph(self):
+        # the seed of every divergent graph up to 6 vertices: the chord ring
+        # of a maximum clique of four or more, else the growth's first witness
         divergent = 0
         for g in [g for n in range(1, 7) for g in enumerate_graphs(n)]:
-            clique = graphs.max_clique(g)
-            ring = _bigger_clique_ring(g, clique)
             if classify(g).status == CONVERGENT:
-                assert ring is None, g
+                assert divergence_bigger_clique(g, build_forest_graph(g)) is None, g
                 continue
             divergent += 1
+            clique = graphs.max_clique(g)
+            if len(clique) >= 4:
+                ring = ring_witness_from_clique(g, clique).forests
+            else:
+                ring = verify_clique_growth(g, 1).steps[0].witness.forests
             assert len(ring) > len(clique), g
             fg = build_forest_graph(g)
             ids = [fg.forest_index(MaximalForest(g, f.bits)) for f in ring]
