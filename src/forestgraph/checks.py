@@ -103,20 +103,18 @@ def divergence_growth_evidence(g, fg):
     determinant comparison.  For larger ones the bound
     count(F(g)) >= 1 + 2(m - N + 1) applies (one fixed spanning tree plus its
     single exchanges, each non-tree edge contributing at least two, all
-    distinct); when even that fails to clear N the exact determinant runs
-    regardless.
+    distinct), and it always clears N.  A convergent graph has one forest or
+    three, so g is divergent: every tree T of g leaves out two edges, or one
+    edge f whose fundamental cycle C_T(f) has four or more edges.  T's degree
+    in F(g), the sum of |C_T(f)| - 1 over the edges f outside T, is then at
+    least 3, so m >= 3N/2 and the bound is at least N + 3.
     """
     c0 = len(fg.family)
-    n = fg.graph.vertex_count
-    m = len(fg.graph.edges)
     if c0 <= EXACT_GROWTH_CAP:
         c1 = forests.count_maximal_forests(fg.graph)
         return {"mode": "exact", "grew": c1 > c0, "count": c0, "next_count": c1}
-    bound = 1 + 2 * (m - n + 1)
-    if bound > c0:
-        return {"mode": "exchange-bound", "grew": True, "count": c0, "lower_bound": bound}
-    c1 = forests.count_maximal_forests(fg.graph)
-    return {"mode": "exact", "grew": c1 > c0, "count": c0, "next_count": c1}
+    bound = 1 + 2 * (len(fg.graph.edges) - fg.graph.vertex_count + 1)
+    return {"mode": "exchange-bound", "grew": bound > c0, "count": c0, "lower_bound": bound}
 
 
 def divergence_bigger_clique(g, fg):

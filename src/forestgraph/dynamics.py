@@ -10,7 +10,9 @@ verdict and its witness off the blocks of the graph by construction, with no
 search: a long cycle comes from one depth-first tree of a block on four or
 more vertices.  The witness constructions below list the growing cliques and
 rings explicitly as forests of small graphs that embed in the iterates, so a
-claim about F^k can be verified without materializing any iterate.
+claim about F^k can be verified without materializing any iterate.  Each
+listed forest is one exchange from a forest `extend_to_maximal` built, so it
+is built unchecked; the cycles, cliques and triangles are checked on entry.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .forest_graph import build_forest_graph
-from .forests import FOREST_BUDGET, MaximalForest, extend_to_maximal
+from .forests import FOREST_BUDGET, _trusted_forest, extend_to_maximal
 from .graphs import BudgetError, Cycle, GraphInputError, blocks, complete_graph, cycle_graph
 
 CONVERGENT = "convergent"
@@ -219,7 +221,7 @@ def clique_witness_from_cycle(g, cycle) -> CliqueWitness:
     edge_ids = sorted(cycle.edge_ids)
     cyc_bits = cycle.edge_bits()
     outside = extend_to_maximal(g, cyc_bits ^ (1 << edge_ids[0])).bits & ~cyc_bits
-    forests = tuple(MaximalForest(g, outside | (cyc_bits ^ (1 << eid)))
+    forests = tuple(_trusted_forest(g, outside | (cyc_bits ^ (1 << eid)))
                     for eid in edge_ids)
     return CliqueWitness(g, CLIQUE_FROM_CYCLE, forests)
 
@@ -241,7 +243,7 @@ def clique_witness_from_complete(g, vertices) -> CliqueWitness:
     for i in range(half):
         for j in range(half, len(vs)):
             swap = g.edge_index(vs[i], vs[j])
-            forests.append(MaximalForest(g, without_mid | (1 << swap)))
+            forests.append(_trusted_forest(g, without_mid | (1 << swap)))
     return CliqueWitness(g, CLIQUE_FROM_COMPLETE, tuple(forests))
 
 
@@ -259,7 +261,7 @@ def ring_witness_from_clique(g, vertices) -> CliqueWitness:
     last = cut.pop(last_edge)
     chord = first.bits ^ (1 << last_edge) | (1 << g.edge_index(vs[0], vs[2]))
     return CliqueWitness(g, RING_FROM_CLIQUE,
-                         (MaximalForest(g, chord), first, *cut.values(), last), ring=True)
+                         (_trusted_forest(g, chord), first, *cut.values(), last), ring=True)
 
 
 def clique_witness_from_two_triangles(g, t1, t2) -> CliqueWitness:
@@ -277,7 +279,7 @@ def clique_witness_from_two_triangles(g, t1, t2) -> CliqueWitness:
     e2 = sorted(t2.edge_ids)
     union = t1.edge_bits() | t2.edge_bits()
     outside = extend_to_maximal(g, union ^ (1 << e1[0]) ^ (1 << e2[0])).bits & ~union
-    forests = tuple(MaximalForest(g, outside | (union ^ (1 << i) ^ (1 << j)))
+    forests = tuple(_trusted_forest(g, outside | (union ^ (1 << i) ^ (1 << j)))
                     for r, i in enumerate(e1) for j in e2[-r:] + e2[:-r])
     return CliqueWitness(g, RING_FROM_TRIANGLES, forests, ring=True)
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .forests import (FOREST_BUDGET, _block_trees, _find, _forest_parents, _forest_product,
-                      _trusted_forest)
+from .forests import FOREST_BUDGET, _block_trees, _forest_product, _joins, _trusted_forest
 from .graphs import Graph, GraphInputError, _ids
 
 
@@ -125,14 +124,12 @@ def exchange_path(g, f1, f2) -> list:
         cut = current ^ (1 << eid)
         # every other tree of cut spans a whole component of g, so an edge of
         # f1 joining two trees of cut joins the two pieces
-        parent = _forest_parents(g, cut)
-        for i in _ids(target & ~current):
-            x, y = g.edges[i]
-            if _find(parent, x) != _find(parent, y):
-                current = cut | 1 << i
-                break
-        else:
+        parent = list(range(g.vertex_count))
+        _joins(g, _ids(cut), parent)
+        joined = _joins(g, _ids(target & ~current), parent)
+        if not joined:
             raise AssertionError("no reconnecting edge found; inputs were not maximal forests")
+        current = cut | 1 << joined[0]
         path.append(_trusted_forest(g, current))
     path.reverse()
     return path
@@ -153,20 +150,11 @@ def finite_connectivity_check(g, budget=FOREST_BUDGET) -> ConnectivityReport:
     F(g) itself split over the blocks, so the diameter is the sum over the
     blocks of the largest r(B - T) over the block's trees T.
     """
-    factors = _block_trees(g, budget)
-    diameter = sum(max(_rank(g, [i for i in block if not tree >> i & 1]) for tree in trees)
-                   for block, trees in factors)
-    return ConnectivityReport(math.prod(len(trees) for _, trees in factors), True, diameter)
-
-
-def _rank(g, ids):
-    """Rank of the edges ids in the cycle matroid: the union-find joins of two pieces."""
-    parent = {}
-    rank = 0
-    for i in ids:
-        u, v = g.edges[i]
-        ru, rv = _find(parent, parent.setdefault(u, u)), _find(parent, parent.setdefault(v, v))
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
+    _, crossed = _block_trees(g, budget)
+    # a bridge is its block's one tree and leaves no edge out: it adds 0
+    diameter = 0
+    for block, trees in crossed:
+        start = {v: v for i in block for v in g.edges[i]}
+        diameter += max(len(_joins(g, [i for i in block if not tree >> i & 1], dict(start)))
+                        for tree in trees)
+    return ConnectivityReport(math.prod(len(trees) for _, trees in crossed), True, diameter)

@@ -28,14 +28,15 @@ class MaximalForest:
 
     def __init__(self, host, edges):
         bits = _bits(host, edges)
-        parent = _forest_parents(host, bits)
-        # maximal: acyclic, and every edge of host joins two vertices it connects
-        if parent is None or any(_find(parent, u) != _find(parent, v) for u, v in host.edges):
-            # every maximal forest has the same size: the rank of host's cycle matroid
-            want = host.vertex_count - len(components(host))
-            if bits.bit_count() != want:
-                raise GraphInputError(
-                    f"not a maximal forest: {bits.bit_count()} edges, expected {want}")
+        parent = list(range(host.vertex_count))
+        joined = len(_joins(host, _ids(bits), parent))
+        # maximal: acyclic, and no edge of host joins two of its trees; every
+        # maximal forest has the same size, the rank of host's cycle matroid
+        want = joined + len(_joins(host, range(len(host.edges)), parent))
+        if bits.bit_count() != want:
+            raise GraphInputError(
+                f"not a maximal forest: {bits.bit_count()} edges, expected {want}")
+        if joined != want:
             raise GraphInputError("not a forest: edge set contains a cycle")
         self.host = host
         self.bits = bits
@@ -109,18 +110,23 @@ def _find(parent, x):
     return x
 
 
-def _forest_parents(g, bits):
-    """Union-find parents after joining the endpoints of every edge in bits,
-    or None when one of those edges closes a cycle."""
-    parent = list(range(g.vertex_count))
+def _joins(g, ids, parent):
+    """The ids, in order, whose edge of g joins two pieces of the union-find
+    `parent` (a list over g's vertices, or a dict over some of them), joining
+    the ends of each."""
     edges = g.edges
-    for i in _ids(bits):
+    joined = []
+    for i in ids:
         u, v = edges[i]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            return None
-        parent[ru] = rv
-    return parent
+        # `_find`'s path halving, inline: the hot loop of enumeration
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joined.append(i)
+    return joined
 
 
 def _det_bareiss(a):
@@ -177,27 +183,14 @@ def count_maximal_forests(g) -> int:
 def _spanning_trees(g, block):
     """Bitmasks of all spanning trees of one block, given as its edge ids: a
     cycle block's trees each drop one edge; any other block branches on its
-    edges in index order on an explicit stack, excluding an edge only while
-    the undecided edges can still span."""
+    edges in index order on an explicit stack, excluding an edge that joins
+    two pieces only while the undecided edges can still span."""
     verts = {v for i in block for v in g.edges[i]}
     if len(verts) == len(block):
         full = _mask(block, len(g.edges))
         return [full ^ (1 << i) for i in block]
     need = len(verts) - 1
     out = []
-
-    def spannable(parent, pieces, start):
-        parent = dict(parent)
-        for i in block[start:]:
-            u, v = g.edges[i]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-                pieces -= 1
-                if pieces == 1:
-                    return True
-        return pieces == 1
-
     # (next edge position, union-find parents, chosen edge bits, chosen count)
     stack = [(0, {v: v for v in verts}, 0, 0)]
     while stack:
@@ -205,35 +198,42 @@ def _spanning_trees(g, block):
         if size == need:
             out.append(bits)
         elif idx < len(block):
-            if spannable(parent, len(verts) - size, idx + 1):
-                stack.append((idx + 1, parent, bits, size))
             eid = block[idx]
             u, v = g.edges[eid]
             ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                child = dict(parent)
-                child[ru] = rv
-                stack.append((idx + 1, child, bits | 1 << eid, size + 1))
+            if ru == rv:
+                # it closes a cycle: leaving it out is forced, and spans as before
+                stack.append((idx + 1, parent, bits, size))
+                continue
+            if len(_joins(g, block[idx + 1:], dict(parent))) == need - size:
+                stack.append((idx + 1, parent, bits, size))
+            child = dict(parent)
+            child[ru] = rv
+            stack.append((idx + 1, child, bits | 1 << eid, size + 1))
     return out
 
 
 def _block_trees(g, budget):
-    """(block, trees) for each block of g in block order, trees the bitmasks of
-    the block's spanning trees, from one pass over the blocks: the exact count
-    is refused over budget before any tree is listed, and each block's list
-    is checked against its own count."""
-    found = [(block, _tree_count(g, block)) for block in blocks(g)]
+    """(bridges, crossed) from one pass over the blocks of g: the bridges' edge
+    ids, each its block's one tree, and (block, trees) for each other block in
+    block order, trees the bitmasks of the block's spanning trees.  The exact
+    count is refused over budget before any tree is listed, and each block's
+    list is checked against its own count."""
+    bridges, found = [], []
+    for block in blocks(g):
+        if len(block) == 1:
+            bridges.append(block[0])
+        else:
+            found.append((block, _tree_count(g, block)))
     count = math.prod(want for _, want in found)
     if count > budget:
         raise BudgetError(
             f"graph has {count} maximal forests, over the budget of {budget}",
             count=count, budget=budget)
-    # a block with one tree is a bridge, its own tree: no search for it
-    factors = [(block, _spanning_trees(g, block) if want > 1 else [1 << block[0]])
-               for block, want in found]
-    if [len(trees) for _, trees in factors] != [want for _, want in found]:
+    crossed = [(block, _spanning_trees(g, block)) for block, _ in found]
+    if [len(trees) for _, trees in crossed] != [want for _, want in found]:
         raise AssertionError("a block's enumerated trees disagree with its determinant")
-    return factors
+    return bridges, crossed
 
 
 def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
@@ -250,20 +250,18 @@ def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
 
 def _forest_product(g, budget):
     """The family as `maximal_forests` builds it, with the product structure
-    it crosses: (family, positions, factors).
+    it crosses: (family, positions, crossed).
 
     positions[i] is family[i]'s product position, its blocks' tree numbers
     read as a mixed-radix number with the first block most significant, and
-    factors lists (block, trees) for each block with two or more trees, in
+    crossed lists (block, trees) for each block with two or more trees, in
     block order; a tree's number is its index in trees.
     """
-    factors = _block_trees(g, budget)
+    bridges, crossed = _block_trees(g, budget)
     width = len(g.edges)
-    crossed = [(block, trees) for block, trees in factors if len(trees) > 1]
-    # every member holds the bridges, the blocks with one tree, so the
-    # crossing starts from their union; a one-tree block adds no digit, and
-    # the crossing order makes each member's index its product position
-    members = [_mask([block[0] for block, trees in factors if len(trees) == 1], width)]
+    # every member holds the bridges, so the crossing starts from their
+    # union, and the crossing order makes each member's index its position
+    members = [_mask(bridges, width)]
     for block, trees in crossed:
         members = [bits | tree for bits in members for tree in trees]
     keys = [f"{bits:0{width}b}"[::-1] for bits in members]
@@ -275,15 +273,11 @@ def _forest_product(g, budget):
 def extend_to_maximal(g, partial) -> MaximalForest:
     """Grow an acyclic edge set to a maximal forest greedily in index order."""
     bits = _bits(g, partial)
-    parent = _forest_parents(g, bits)
-    if parent is None:
+    parent = list(range(g.vertex_count))
+    ids = _ids(bits)
+    if len(_joins(g, ids, parent)) != len(ids):
         raise GraphInputError("partial edge set already contains a cycle")
-    added = []
-    for i, (u, v) in enumerate(g.edges):
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            added.append(i)
+    added = _joins(g, range(len(g.edges)), parent)
     return _trusted_forest(g, bits | _mask(added, len(g.edges)))
 
 
@@ -295,9 +289,7 @@ def brute_force_maximal_forests(g) -> list:
             f"brute force limited to {BRUTE_FORCE_EDGE_LIMIT} edges (got {m})",
             count=m, budget=BRUTE_FORCE_EDGE_LIMIT)
     want = g.vertex_count - len(components(g))
-    found = []
-    for bits in range(1 << m):
-        if bits.bit_count() == want and _forest_parents(g, bits) is not None:
-            found.append(bits)
+    found = [bits for bits in range(1 << m) if bits.bit_count() == want
+             and len(_joins(g, _ids(bits), list(range(g.vertex_count)))) == want]
     found.sort(key=_ids)
     return [MaximalForest(g, b) for b in found]

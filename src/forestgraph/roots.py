@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .dynamics import is_stable
 from .forest_graph import build_forest_graph
-from .forests import FOREST_BUDGET, _find, count_maximal_forests
+from .forests import FOREST_BUDGET, _find, _joins, count_maximal_forests
 from .graphs import (BudgetError, Graph, GraphInputError, _ids, bridges, components,
                      find_isomorphism, is_bipartite)
 
@@ -347,8 +347,7 @@ def whitney_identify(g, pairs) -> WhitneyResult:
         raise GraphInputError("need at least one pair to identify")
     comp = list(range(g.vertex_count))
     cluster = list(range(g.vertex_count))
-    for u, v in g.edges:
-        comp[_find(comp, u)] = _find(comp, v)
+    _joins(g, range(len(g.edges)), comp)
     for a, b in pairs:
         if not (0 <= a < g.vertex_count and 0 <= b < g.vertex_count):
             raise GraphInputError(f"vertex pair ({a}, {b}) out of range")

@@ -348,6 +348,39 @@ class TestCliqueWitnesses:
         for f in witness.forests:
             family.index_of(f)  # raises if absent
 
+    def test_unchecked_forests_pass_validation(self):
+        # the constructors build their forests unchecked; on every cycle,
+        # clique and pair of edge-disjoint triangles of the graphs up to 5
+        # vertices, each must still pass the validating constructor
+        built, kinds = 0, set()
+        for g in [g for n in range(1, 6) for g in enumerate_graphs(n)]:
+            n = g.vertex_count
+            witnesses = []
+            for k in range(2, n + 1):
+                for vs in itertools.combinations(range(n), k):
+                    if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2)):
+                        witnesses.append(clique_witness_from_complete(g, vs))
+                        if k >= 4:
+                            witnesses.append(ring_witness_from_clique(g, vs))
+                for walk in itertools.permutations(range(n), k):
+                    if (k >= 3 and walk[0] == min(walk) and walk[1] < walk[-1]
+                            and all(g.has_edge(u, v) for u, v in zip(walk, walk[1:] + walk[:1]))):
+                        witnesses.append(clique_witness_from_cycle(g, Cycle(g, walk)))
+            triangles = [Cycle(g, vs) for vs in itertools.combinations(range(n), 3)
+                         if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))]
+            for t1, t2 in itertools.combinations(triangles, 2):
+                if not t1.edge_bits() & t2.edge_bits():
+                    witnesses.append(clique_witness_from_two_triangles(g, t1, t2))
+            for witness in witnesses:
+                assert witness.verify(), (g, witness.construction)
+                kinds.add(witness.construction)
+                for f in witness.forests:
+                    assert f.host is g and MaximalForest(g, f.bits) == f, g
+                    built += 1
+        assert kinds == {
+            "cycle-swap", "clique-path-swap", "clique-chord-ring", RING_FROM_TRIANGLES}
+        assert built > 1000
+
 
 def _lift(g, report, levels):
     """For k = 1..levels, (F^k(g), the vertices of it that step k's witness
@@ -431,6 +464,26 @@ class TestCliqueGrowth:
             monkeypatch.setattr(module, name, refuse)
         for g in (cycle_graph(4), complete_graph(5), BOWTIE):
             assert verify_clique_growth(g, 7 if g is not BOWTIE else 4).all_verified()
+
+    def test_builds_no_validated_forest(self, monkeypatch):
+        def refuse(self, host, edges):
+            raise AssertionError("MaximalForest.__init__ called")
+
+        monkeypatch.setattr(MaximalForest, "__init__", refuse)
+        growth = [4, 5, 5, 6, 9, 20, 100]
+        for g, sizes in ((cycle_graph(4), growth), (complete_graph(4), growth),
+                         (complete_graph(5), growth), (BOWTIE, [9, 9, 20, 100])):
+            report = verify_clique_growth(g, len(sizes))
+            assert report.all_verified(), g
+            assert [s.size for s in report.steps] == sizes, g
+        k5 = complete_graph(5)
+        t1, t2 = classify(BOWTIE).witness
+        witnesses = (clique_witness_from_cycle(k5, Cycle(k5, (0, 2, 1, 4, 3))),
+                     clique_witness_from_complete(k5, range(5)),
+                     ring_witness_from_clique(k5, range(5)),
+                     clique_witness_from_two_triangles(BOWTIE, t1, t2))
+        assert [w.size for w in witnesses] == [5, 6, 6, 9]
+        assert all(w.verify() for w in witnesses)
 
     def test_cliques_grow_strictly_from_step_3(self):
         divergent = 0

@@ -8,12 +8,12 @@ import pytest
 
 from forestgraph import (BudgetError, Graph, GraphInputError, MaximalForest,
                          brute_force_maximal_forests, build_forest_graph,
-                         bridges, cartesian_product, complete_graph,
+                         bridges, cartesian_product, classify, complete_graph,
                          components, count_maximal_forests, cycle_graph,
                          enumerate_graphs, exchange_path,
                          finite_connectivity_check, forest_distance,
                          is_isomorphic, maximal_forests, path_graph)
-from forestgraph import forest_graph, forests, graphs
+from forestgraph import checks, forest_graph, forests, graphs
 
 from .oracles import (bfs_distances, brute_force_exchange_path, bucket_join_edges,
                       dc_spanning_trees, neighbour_tuples)
@@ -160,6 +160,22 @@ class TestBlockProduct:
                 want *= dc_spanning_trees(len(comp), [(relabel[u], relabel[v])
                                                       for u, v in g.edges if u in relabel])
             assert count_maximal_forests(g) == want, g
+
+    def test_divergent_min_degree_clears_the_exchange_bound(self):
+        # why divergence_growth_evidence needs no exact fallback: F(g) of a
+        # divergent g has minimum degree 3, so m >= 3N/2 and the exchange
+        # bound 1 + 2(m - N + 1) is at least N + 3
+        divergent = 0
+        for g in product_corpus():
+            if classify(g).status == "convergent":
+                continue
+            fg = build_forest_graph(g)
+            n, m = fg.graph.vertex_count, len(fg.graph.edges)
+            assert min(fg.graph.degree(v) for v in range(n)) >= 3, g
+            assert 1 + 2 * (m - n + 1) >= n + 3, g
+            assert checks.divergence_growth_evidence(g, fg)["grew"], g
+            divergent += 1
+        assert divergent == 56
 
 
 class TestMetric:

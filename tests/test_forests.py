@@ -3,6 +3,7 @@
 import inspect
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from forestgraph import (BudgetError, Graph, GraphInputError,
                          count_maximal_forests, cycle_graph,
                          enumerate_graphs, exchange_path, extend_to_maximal,
                          maximal_forests, path_graph)
+from forestgraph import forests
 from forestgraph.forests import _det_bareiss
 
 from .oracles import cyclomatic_number, dc_spanning_trees
@@ -150,6 +152,18 @@ class TestEnumeration:
         for f in family:
             MaximalForest(g, f.bits)
 
+    def test_long_path_keeps_no_tree_per_bridge(self):
+        # a bridge is crossed in as its edge id, not as a one-bit int as wide
+        # as its id: those ints would take about 27 MB here
+        tracemalloc.start()
+        try:
+            family = maximal_forests(path_graph(20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert family[0].bits == (1 << 19999) - 1
+        assert peak < 10 * 2**20
+
     def test_budget_carries_exact_count(self):
         with pytest.raises(BudgetError) as info:
             maximal_forests(complete_graph(6), budget=100)
@@ -198,6 +212,21 @@ class TestMaximalForestType:
         f = MaximalForest(g, range(300000))
         assert time.perf_counter() - start < 1
         assert f.bits == (1 << 300000) - 1
+
+    @pytest.mark.parametrize("edges, message", [
+        ((0, 1, 2, 3), "not a forest: edge set contains a cycle"),
+        ((0, 1, 2, 3, 4), "not a maximal forest: 5 edges, expected 4"),
+        ((0, 3), "not a maximal forest: 2 edges, expected 4"),
+        ((0, 6), "edge index 6 outside the host edge table"),
+    ], ids=["cyclic-rank-many", "cyclic-too-many", "acyclic-too-few", "out-of-range"])
+    def test_messages_from_one_union_find_pass(self, monkeypatch, edges, message):
+        def refuse(g):
+            raise AssertionError("components walk")
+
+        # the rank, 4 here across two components, comes from the same pass
+        monkeypatch.setattr(forests, "components", refuse)
+        with pytest.raises(GraphInputError, match=f"^{message}$"):
+            MaximalForest(TWO_TRIANGLES, edges)
 
     def test_ids_range_checked(self):
         g = complete_graph(3)
