@@ -43,12 +43,12 @@ def check_forest_counts(max_n=5):
     return CheckResult("forest-count-vs-enumeration", True, f"{tried} graphs")
 
 
-def check_exchange_metric(max_n=5, budget=forests.FOREST_BUDGET):
+def check_exchange_metric(max_n=5):
     """Set-difference distance == breadth-first distance; paths realize it."""
     graphs_checked = 0
     pairs_checked = 0
     for g in _small_corpus(max_n):
-        fg = forest_graph.build_forest_graph(g, budget)
+        fg = forest_graph.build_forest_graph(g)
         n = len(fg.family)
         dist_rows = [graphs._distances(fg.graph, i) for i in range(n)]
         for i in range(n):
@@ -134,7 +134,7 @@ def divergence_bigger_clique(g, fg):
     return witness if witness.verify() and witness.size > len(clique) else None
 
 
-def check_convergence(max_n=5, budget=forests.FOREST_BUDGET):
+def check_convergence(max_n=5):
     """Classifier verdicts agree with measured iteration behavior."""
     convergent = divergent = 0
     for g in _small_corpus(max_n):
@@ -143,18 +143,18 @@ def check_convergence(max_n=5, budget=forests.FOREST_BUDGET):
             limit = graphs.complete_graph(1 if verdict.limit == "K1" else 3)
             current = g
             for _ in range(verdict.steps):
-                current = forest_graph.build_forest_graph(current, budget).graph
+                current = forest_graph.build_forest_graph(current).graph
             if not graphs.is_isomorphic(current, limit):
                 return CheckResult("two-step-convergence", False,
                                    f"{g!r} does not reach {verdict.limit} "
                                    f"in {verdict.steps} steps")
-            again = forest_graph.build_forest_graph(current, budget).graph
+            again = forest_graph.build_forest_graph(current).graph
             if not graphs.is_isomorphic(again, limit):
                 return CheckResult("two-step-convergence", False,
                                    f"limit of {g!r} is not a fixed point")
             convergent += 1
         else:
-            fg = forest_graph.build_forest_graph(g, budget)
+            fg = forest_graph.build_forest_graph(g)
             evidence = divergence_growth_evidence(g, fg)
             if not evidence["grew"]:
                 return CheckResult("two-step-convergence", False,
@@ -329,12 +329,12 @@ def check_triangle_grid():
     return CheckResult("triangle-pair-grid", True, "grid + 9-clique verified")
 
 
-def run_all(max_n=5, seed=0, budget=forests.FOREST_BUDGET, whitney_count=100):
+def run_all(max_n=5, seed=0, whitney_count=100):
     return [
         check_forest_counts(max_n),
-        check_exchange_metric(max_n, budget),
+        check_exchange_metric(max_n),
         check_forest_graph_shape(min(max_n, 5)),
-        check_convergence(max_n, budget),
+        check_convergence(max_n),
         check_stability(max_n),
         check_root_exclusions(),
         check_exact_depth(),

@@ -191,10 +191,10 @@ def cmd_stable(args, g) -> int:
 
 
 def cmd_roots(args, g) -> int:
-    report = depth_lower_bound(g, args.max_vertices, args.budget)
+    report = depth_lower_bound(g, args.max_vertices)
     result = report.search
     if result is None:
-        result = find_roots(g, args.max_vertices, args.budget)
+        result = find_roots(g, args.max_vertices)
     if args.format == "structured":
         print(f"roots={len(result.roots)}")
         for root in result.roots:
@@ -215,7 +215,7 @@ def cmd_roots(args, g) -> int:
 
 
 def cmd_depth(args, g) -> int:
-    report = depth_lower_bound(g, args.max_vertices, args.budget)
+    report = depth_lower_bound(g, args.max_vertices)
     if args.format == "structured":
         _print_depth(report)
         if report.chain is not None:
@@ -279,8 +279,7 @@ def cmd_whitney(args, g) -> int:
 
 
 def cmd_verify(args, _) -> int:
-    results = checks.run_all(max_n=args.max_n, seed=args.seed, budget=args.budget,
-                             whitney_count=args.trials)
+    results = checks.run_all(max_n=args.max_n, seed=args.seed, whitney_count=args.trials)
     failed = []
     if args.format == "structured":
         for res in results:
@@ -330,9 +329,11 @@ def cmd_gen(args, _) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # only the subcommands that list forests take a forest budget
+    listing = argparse.ArgumentParser(add_help=False)
+    listing.add_argument("--budget", type=int, default=FOREST_BUDGET,
+                         help="maximal-forest budget (default 10^6)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=FOREST_BUDGET,
-                        help="maximal-forest budget (default 10^6)")
     common.add_argument("--format", choices=("human", "structured", "dot"),
                         default="human", help="output format")
 
@@ -348,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("forests", cmd_forests, "list all maximal forests")
+    add("forests", cmd_forests, "list all maximal forests", parents=(listing, common))
     add("count", cmd_count, "count maximal forests exactly")
-    add("fgraph", cmd_fgraph, "build the forest graph")
+    add("fgraph", cmd_fgraph, "build the forest graph", parents=(listing, common))
 
     p = add("distance", cmd_distance, "exchange distance between two forests")
     p.add_argument("forest1", help="comma-separated edge indices")
@@ -360,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("forest1", help="comma-separated edge indices")
     p.add_argument("forest2", help="comma-separated edge indices")
 
-    p = add("iterate", cmd_iterate, "apply the forest-graph operator repeatedly")
+    p = add("iterate", cmd_iterate, "apply the forest-graph operator repeatedly",
+            parents=(listing, common))
     p.add_argument("steps", type=int, help="number of applications")
 
     add("classify", cmd_classify, "convergent or divergent, with evidence")

@@ -189,10 +189,13 @@ class CliqueWitness:
         return len(self.forests)
 
     def verify(self) -> bool:
-        """Re-check the pattern definitionally: every pair of a clique one
-        exchange apart, or a ring's forests distinct and each consecutive
-        pair, the last and the first included, one exchange apart."""
+        """Re-check the pattern definitionally: every forest of `host`, and
+        every pair of a clique one exchange apart, or a ring's forests distinct
+        and each consecutive pair, the last and the first included, one
+        exchange apart."""
         fs = self.forests
+        if not all(f.host is self.host or f.host == self.host for f in fs):
+            return False
         if not self.ring:
             return all((a.bits ^ b.bits).bit_count() == 2 for a, b in itertools.combinations(fs, 2))
         return (len({f.bits for f in fs}) == len(fs) >= 3
@@ -344,16 +347,17 @@ def verify_clique_growth(g, m) -> GrowthReport:
     if verdict.status != DIVERGENT:
         raise GraphInputError("clique growth applies to divergent graphs only")
     from_cycle = verdict.witness_kind == WITNESS_LONG_CYCLE
-    shapes = [(not from_cycle, verdict.witness[0].length if from_cycle else 9, len(g.edges))]
-    while len(shapes) < m:
-        shapes.append(_next_shape(*shapes[-1][:2]))
-    for k, (_, size, edges) in enumerate(shapes, 1):
+    # each step's shape is checked as it is computed: the sizes square, so
+    # the first step over the cap ends the loop whatever m is
+    ring, size, edges = not from_cycle, verdict.witness[0].length if from_cycle else 9, len(g.edges)
+    for k in range(1, m + 1):
         words = size * -(-edges // 64)
         if words > FOREST_BUDGET:
             raise BudgetError(
                 f"growth step {k} would list {size} forests of {edges} edges, "
                 f"{words} words, over the budget of {FOREST_BUDGET}",
                 count=words, budget=FOREST_BUDGET, step=k)
+        ring, size, edges = _next_shape(ring, size)
     witness = (clique_witness_from_cycle(g, *verdict.witness) if from_cycle
                else clique_witness_from_two_triangles(g, *verdict.witness))
     steps = [GrowthStep(1, witness, witness.verify())]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .dynamics import is_stable
 from .forest_graph import build_forest_graph
-from .forests import FOREST_BUDGET, _find, _joins, count_maximal_forests
+from .forests import _find, _joins, count_maximal_forests
 from .graphs import (BudgetError, Graph, GraphInputError, _ids, bridges, components,
                      find_isomorphism, is_bipartite)
 
@@ -166,8 +166,7 @@ def _candidates(n):
                  if len(components(h)) == 1 and (n == 1 or not bridges(h)))
 
 
-def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
-               budget=FOREST_BUDGET) -> RootSearchResult:
+def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET) -> RootSearchResult:
     """Search for all H (up to isomorphism) with F(H) isomorphic to g.
 
     Candidates are connected isthmus-free graphs on at most max_vertices
@@ -197,7 +196,7 @@ def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
         for h, count in _candidates(n):
             if count != g.vertex_count or len(h.edges) > most:
                 continue
-            mapping = find_isomorphism(build_forest_graph(h, budget).graph, g)
+            mapping = find_isomorphism(build_forest_graph(h).graph, g)
             if mapping is not None:
                 roots.append(h)
                 iso_maps.append(mapping)
@@ -225,13 +224,15 @@ class RootChainCertificate:
     def depth(self):
         return len(self.graphs) - 1
 
-    def verify(self, budget=FOREST_BUDGET) -> bool:
-        for i in range(len(self.graphs) - 1):
-            fg = build_forest_graph(self.graphs[i], budget).graph
-            nxt = self.graphs[i + 1]
-            mapping = self.iso_maps[i]
-            if fg.vertex_count != nxt.vertex_count or len(fg.edges) != len(nxt.edges):
+    def verify(self) -> bool:
+        if len(self.iso_maps) != len(self.graphs) - 1:
+            return False
+        for h, nxt, mapping in zip(self.graphs, self.graphs[1:], self.iso_maps):
+            n = nxt.vertex_count
+            # F(h) is built only for a link whose count and bijection hold
+            if count_maximal_forests(h) != n or sorted(mapping) != list(range(n)):
                 return False
+            fg = build_forest_graph(h).graph
             if sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in fg.edges) \
                     != sorted(nxt.edges):
                 return False
@@ -247,7 +248,7 @@ class DepthReport:
     `depth`, with the chain certificate and the certificate that stopped it;
     the stop is provable when its reason is proof-grade).  `search` is the
     root search of g itself, the same result find_roots(g) gives with the
-    same budgets; it is None for a stable g, which is never searched.
+    same max_vertices; it is None for a stable g, which is never searched.
     """
 
     kind: str
@@ -261,11 +262,10 @@ class DepthReport:
         return self.stop is not None and self.stop.proof_grade
 
 
-def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
-                      budget=FOREST_BUDGET) -> DepthReport:
-    """Longest root chain below g found within the budgets.
+def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET) -> DepthReport:
+    """Longest root chain below g found within max_vertices.
 
-    Every level of the chase runs find_roots with the same budgets, and the
+    Every level of the chase runs find_roots with the same max_vertices, and the
     chain certificate takes its isomorphisms from those results.  The chase
     ends on its own: a root H of a graph on N vertices has N maximal forests,
     at least |V(H)| as H is connected and isthmus-free, with equality only
@@ -275,7 +275,7 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
     """
     if is_stable(g):
         return DepthReport("stable")
-    top = find_roots(g, max_vertices, budget)
+    top = find_roots(g, max_vertices)
     if top.certificate is not None and top.certificate.proof_grade:
         return DepthReport("pruned", depth=0, stop=top.certificate, search=top)
 
@@ -289,7 +289,7 @@ def depth_lower_bound(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET,
         best_chain = []
         best_stop = None
         for h, mapping in zip(result.roots, result.iso_maps):
-            chain, stop = chase(find_roots(h, max_vertices, budget))
+            chain, stop = chase(find_roots(h, max_vertices))
             if len(chain) + 1 > len(best_chain):
                 best_chain = chain + [(h, mapping)]
                 best_stop = stop

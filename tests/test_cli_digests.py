@@ -9,6 +9,10 @@ digests were recorded from the code before `classify` read its answer off
 one block pass and before `depth` recognised stable graphs by order and size.
 The `roots` and `depth` rows moved once since, for one stderr line: the
 refusal on F(K_4) now reads "isomorphism limited to 12 vertices (got 16)".
+The `("usage", None)` row moved once, when `--budget` was kept only on the
+subcommands that list forests (`forests`, `fgraph`, `iterate`): the help and
+usage lines of the other subcommands lost `[--budget BUDGET]`, and
+`count - --budget` became an unrecognized argument; every exit code held.
 """
 
 import argparse
@@ -184,7 +188,7 @@ SUBCOMMAND_DIGESTS = {
     ("gen", "structured"): "c4d0e71ef80bb69950ab8736bdaafcabed4b3de293dd3bb939805380e262baa3",
     ("whitney", "dot"): "022b860f9ad8170b2f3905ec7c53d2a0b3918a84e64986b6601a1372d31f6974",
     ("gen", "dot"): "ee46cf6523625ef7b0ab4a75064bc7d345f4f755b6fbd2f7cf557221fb5ba916",
-    ("usage", None): "1702724699d80b425a11f1c4190b01c3d4aa3e23c5d440d60976f309ad81490e",
+    ("usage", None): "4939baa54be0625fbd3b7d4c10b2e1ab67acb626c6fa1e2bf0c48db072107b75",
 }
 
 

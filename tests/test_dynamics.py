@@ -11,7 +11,7 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
                          clique_witness_from_complete, clique_witness_from_cycle,
                          clique_witness_from_two_triangles, complete_graph,
                          cycle_graph, enumerate_graphs, extend_to_maximal,
-                         is_isomorphic, is_stable, iterate_F, path_graph,
+                         is_isomorphic, is_stable, iterate_F, maximal_forests, path_graph,
                          ring_witness_from_clique, verify_clique_growth)
 from forestgraph.dynamics import (CONVERGENT, DIVERGENT, RING_FROM_TRIANGLES,
                                   WITNESS_LONG_CYCLE, WITNESS_TWO_TRIANGLES,
@@ -326,6 +326,15 @@ class TestCliqueWitnesses:
         with pytest.raises(GraphInputError):
             ring_witness_from_clique(cycle_graph(4), range(4))
 
+    def test_verify_checks_the_host(self):
+        # the five forests of C_5 are pairwise one exchange apart, but they
+        # are no forests of K_4
+        five = tuple(maximal_forests(cycle_graph(5)))
+        witness = dynamics.CliqueWitness(complete_graph(4), dynamics.CLIQUE_FROM_CYCLE, five)
+        assert not witness.verify()
+        assert dynamics.CliqueWitness(cycle_graph(5), dynamics.CLIQUE_FROM_CYCLE,
+                                      five).verify()
+
     def test_ring_verify_is_definitional(self):
         witness = clique_witness_from_two_triangles(BOWTIE, *classify(BOWTIE).witness)
         fs = witness.forests
@@ -438,6 +447,16 @@ class TestCliqueGrowth:
             verify_clique_growth(cycle_graph(4), 9)
         assert info.value.step == 9
         assert info.value.budget == FOREST_BUDGET and info.value.count > FOREST_BUDGET
+
+    @pytest.mark.parametrize("m", [28, 10 ** 6])
+    def test_refusal_time_does_not_grow_with_m(self, m):
+        # the shape sizes square at each step; none past the refused step is
+        # computed
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as info:
+            verify_clique_growth(cycle_graph(4), m)
+        assert time.perf_counter() - start < 0.1
+        assert info.value.step == 9
 
     @pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(4), complete_graph(5)],
                              ids=["C4", "K4", "K5"])

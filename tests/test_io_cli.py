@@ -11,7 +11,7 @@ from forestgraph import (Graph, ParseError, build_forest_graph, complete_graph,
                          cycle_graph, enumerate_graphs, format_dot, format_edge_list,
                          forests, graphs, parse_dot, parse_edge_list, parse_graph,
                          path_graph, roots)
-from forestgraph.cli import main
+from forestgraph.cli import _PARSER, main
 from forestgraph.io import HEADER_VERTEX_LIMIT
 
 BOWTIE_TEXT = "0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
@@ -437,6 +437,30 @@ class TestCliErrors:
         k5 = format_edge_list(complete_graph(5))
         code, _, err = run_cli(["forests", "-", "--budget", "100"], k5, capsys)
         assert code == 3 and "125" in err
+
+    # one call per subcommand; only those that list forests take --budget
+    EVERY_SUBCOMMAND = [
+        ["forests", "-"], ["fgraph", "-"], ["iterate", "-", "1"], ["count", "-"],
+        ["distance", "-", "0", "0"], ["path", "-", "0", "0"], ["classify", "-"],
+        ["stable", "-"], ["roots", "-"], ["depth", "-"], ["whitney", "-", "split", "0", "1"],
+        ["verify"], ["gen", "bowtie"]]
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_budget_only_where_forests_are_listed(self, capsys, argv):
+        k5 = format_edge_list(complete_graph(5))
+        if argv[0] in ("forests", "fgraph", "iterate"):
+            code, out, err = run_cli(argv + ["--budget", "100"], k5, capsys)
+            assert (code, out) == (3, "") and "125" in err
+            return
+        with pytest.raises(SystemExit) as stop:
+            run_cli(argv + ["--budget", "5"], k5, capsys)
+        out, err = capsys.readouterr()
+        assert stop.value.code == 2 and out == ""
+        assert "unrecognized arguments: --budget 5" in err
+
+    def test_budget_cases_cover_every_subcommand(self):
+        subcommands = _PARSER._subparsers._group_actions[0].choices
+        assert sorted(subcommands) == sorted(argv[0] for argv in self.EVERY_SUBCOMMAND)
 
     def test_non_forest_witness_exit_2(self, capsys):
         k4 = format_edge_list(complete_graph(4))

@@ -8,7 +8,7 @@ from forestgraph import (BudgetError, Graph, GraphInputError, bridges,
                          brute_force_maximal_forests, build_forest_graph,
                          complete_graph, components, count_maximal_forests,
                          cycle_graph, depth_lower_bound, enumerate_graphs,
-                         find_roots, is_isomorphic, maximal_forests,
+                         find_roots, forest_distance, is_isomorphic, maximal_forests,
                          no_root_prune, path_graph, roots, whitney_identify,
                          whitney_split, whitney_twist)
 from forestgraph.checks import whitney_invariance_trials
@@ -248,6 +248,31 @@ class TestDepth:
                 assert count >= n and (count == n) == is_cycle, h
                 tried += 1
         assert tried == 75
+
+    def test_chain_certificate_rejects_a_non_bijection(self):
+        # three triangles in a chain: F(h) is K_3 x K_3 x K_3 on 27 forests.
+        # Merge two forests three exchanges apart (they share no neighbour, so
+        # no edge is lost) and add an isolated vertex: the edge images match
+        # g's edges exactly, but the map is not onto and g is disconnected
+        h = Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
+                      (4, 5), (4, 6), (5, 6)])
+        fg = build_forest_graph(h)
+        far = next(j for j in range(27) if forest_distance(fg.family[0], fg.family[j]) == 3)
+        mapping = tuple(range(far)) + (0,) + tuple(range(far, 26))
+        g = Graph(27, [(mapping[u], mapping[v]) for u, v in fg.graph.edges])
+        assert len(components(g)) == 2
+        assert not roots.RootChainCertificate((h, g), (mapping,)).verify()
+        assert not roots.RootChainCertificate((h, g), (mapping[:26],)).verify()
+        assert not roots.RootChainCertificate((h, g), ()).verify()
+
+    def test_chain_certificate_counts_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("F built for a link whose count is wrong")
+
+        monkeypatch.setattr(roots, "build_forest_graph", refuse)
+        chain = roots.RootChainCertificate((cycle_graph(4), complete_graph(5)),
+                                           (tuple(range(5)),))
+        assert not chain.verify()
 
     def test_chain_certificate_maps_check_edges(self):
         report = depth_lower_bound(complete_graph(4))
