@@ -15,8 +15,8 @@ from .dynamics import (CliqueWitness, GrowthReport, GrowthStep, Verdict,
 from .forest_graph import (ConnectivityReport, ForestGraph, build_forest_graph,
                            exchange_path, finite_connectivity_check,
                            forest_distance)
-from .forests import (ForestFamily, MaximalForest, brute_force_maximal_forests,
-                      count_maximal_forests, extend_to_maximal, maximal_forests)
+from .forests import (MaximalForest, brute_force_maximal_forests, count_maximal_forests,
+                      extend_to_maximal, maximal_forests)
 from .graphs import (BudgetError, Cycle, Graph, GraphInputError,
                      blocks, bridges, cartesian_product,
                      complete_graph, components, cycle_graph,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "CliqueWitness", "ConnectivityReport", "Cycle",
-    "DepthReport", "ForestFamily", "ForestGraph", "Graph",
+    "DepthReport", "ForestGraph", "Graph",
     "GraphInputError", "GrowthReport", "GrowthStep", "MaximalForest",
     "NoRootCertificate", "ParseError", "RootChainCertificate",
     "RootSearchResult", "Verdict", "WhitneyResult", "blocks", "bridges",

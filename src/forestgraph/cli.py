@@ -20,8 +20,7 @@ from . import checks
 from .dynamics import CONVERGENT, WITNESS_TWO_TRIANGLES, classify, is_stable, iterate_F
 from .forest_graph import build_forest_graph, exchange_path, forest_distance
 from .forests import FOREST_BUDGET, MaximalForest, count_maximal_forests, maximal_forests
-from .graphs import (BudgetError, Graph, GraphInputError, complete_graph,
-                     components, cycle_graph, path_graph)
+from .graphs import BudgetError, Graph, GraphInputError, complete_graph, cycle_graph, path_graph
 from .io import (HEADER_VERTEX_LIMIT, ParseError, _decimal, format_dot, format_edge_list,
                  parse_graph)
 from .roots import (DEFAULT_ROOT_VERTEX_BUDGET, depth_lower_bound, enumerate_graphs,
@@ -54,12 +53,10 @@ def _describe(g) -> str:
     n, m = g.vertex_count, len(g.edges)
     if m == n * (n - 1) // 2:
         return f"K_{n}"
-    degrees = sorted(g.degree(v) for v in range(n))
-    if len(components(g)) == 1:
-        if degrees and degrees[0] == degrees[-1] == 2:
-            return f"C_{n}"
-        if m == n - 1 and degrees[-1] <= 2:
-            return f"P_{n}"
+    # a root, a graph with a root, or one the prunes pass: connected, with a
+    # cycle, so when its degrees are all 2 it is one cycle
+    if all(g.degree(v) == 2 for v in range(n)):
+        return f"C_{n}"
     return f"graph({n} vertices, {m} edges)"
 
 
@@ -328,10 +325,17 @@ def cmd_gen(args, _) -> int:
     return 0
 
 
+def _positive(text):
+    value = _decimal(text)
+    if not value:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # only the subcommands that list forests take a forest budget
     listing = argparse.ArgumentParser(add_help=False)
-    listing.add_argument("--budget", type=int, default=FOREST_BUDGET,
+    listing.add_argument("--budget", type=_positive, default=FOREST_BUDGET,
                          help="maximal-forest budget (default 10^6)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "structured", "dot"),

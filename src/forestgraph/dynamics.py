@@ -46,30 +46,14 @@ class Verdict:
     witness_kind: str = None
     witness: tuple = None
 
-    def witness_edge_groups(self):
-        if self.witness is None:
-            return ()
-        return tuple(tuple(c.edge_ids) for c in self.witness)
-
-    def to_dict(self):
-        groups = self.witness_edge_groups()
-        return {
-            "status": self.status,
-            "limit": self.limit,
-            "steps": self.steps,
-            "witness_kind": self.witness_kind,
-            "witness_edges": [list(group) for group in groups] if groups else None,
-        }
-
     def to_kv(self) -> str:
-        groups = self.witness_edge_groups()
+        edges = ";".join(",".join(map(str, c.edge_ids)) for c in self.witness or ())
         lines = [
             f"status={self.status}",
             f"limit={self.limit if self.limit is not None else '-'}",
             f"steps={self.steps if self.steps is not None else '-'}",
             f"witness_kind={self.witness_kind if self.witness_kind is not None else '-'}",
-            "witness_edges=" + (";".join(",".join(map(str, group)) for group in groups)
-                                if groups else "-"),
+            f"witness_edges={edges or '-'}",
         ]
         return "\n".join(lines)
 

@@ -11,6 +11,7 @@ the enumeration crosses the blocks in, into its final neighbour tuples.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 
 from .forests import FOREST_BUDGET, _block_trees, _forest_product, _joins, _trusted_forest
@@ -32,7 +33,14 @@ class ForestGraph:
         self.graph = graph
 
     def forest_index(self, forest) -> int:
-        return self.family.index_of(forest)
+        """`forest`'s index in the family, by binary search: the family is
+        sorted by edge-id tuple."""
+        if not (forest.host is self.base or forest.host == self.base):
+            raise GraphInputError("forest belongs to a different graph")
+        i = bisect_left(self.family, forest.edge_ids(), key=lambda f: f.edge_ids())
+        if i == len(self.family) or self.family[i].bits != forest.bits:
+            raise GraphInputError("forest is not a member of this family")
+        return i
 
     def __repr__(self):
         return f"ForestGraph(order={len(self.family)}, size={len(self.graph.edges)})"

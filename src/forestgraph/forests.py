@@ -58,34 +58,6 @@ class MaximalForest:
         return f"MaximalForest({list(self.edge_ids())})"
 
 
-class ForestFamily:
-    """All maximal forests of a graph in lexicographic edge-index order."""
-
-    __slots__ = ("graph", "members", "_index")
-
-    def __init__(self, graph, members):
-        self.graph = graph
-        self.members = tuple(members)
-        self._index = {f.bits: i for i, f in enumerate(self.members)}
-
-    def index_of(self, forest) -> int:
-        if not (forest.host is self.graph or forest.host == self.graph):
-            raise GraphInputError("forest belongs to a different graph")
-        try:
-            return self._index[forest.bits]
-        except KeyError:
-            raise GraphInputError("forest is not a member of this family") from None
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
-
 def _trusted_forest(host, bits) -> MaximalForest:
     """A MaximalForest from bits already known to form one, unchecked."""
     forest = MaximalForest.__new__(MaximalForest)
@@ -130,19 +102,12 @@ def _joins(g, ids, parent):
 
 
 def _det_bareiss(a):
-    """Exact determinant of an integer matrix by fraction-free elimination in place."""
+    """Exact determinant of a positive definite integer matrix (a connected block's
+    reduced Laplacian) by fraction-free elimination in place: the k-th pivot is the
+    k-th leading principal minor, nonzero by Sylvester's criterion, so no row swaps."""
     n = len(a)
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         pivot = a[k][k]
         row_k = a[k]
         for i in range(k + 1, n):
@@ -151,7 +116,7 @@ def _det_bareiss(a):
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def _tree_count(g, block):
@@ -236,8 +201,8 @@ def _block_trees(g, budget):
     return bridges, crossed
 
 
-def maximal_forests(g, budget=FOREST_BUDGET) -> ForestFamily:
-    """Enumerate every maximal forest; refuses (with the exact count) over budget.
+def maximal_forests(g, budget=FOREST_BUDGET) -> tuple:
+    """Every maximal forest, as a tuple; refuses (with the exact count) over budget.
 
     The trees `_block_trees` lists per block are crossed into the family,
     which is sorted once into lexicographic order of edge-id tuples.  For
@@ -264,9 +229,9 @@ def _forest_product(g, budget):
     members = [_mask(bridges, width)]
     for block, trees in crossed:
         members = [bits | tree for bits in members for tree in trees]
-    keys = [f"{bits:0{width}b}"[::-1] for bits in members]
-    positions = sorted(range(len(members)), key=keys.__getitem__, reverse=True)
-    family = ForestFamily(g, (_trusted_forest(g, members[p]) for p in positions))
+    positions = sorted(range(len(members)), reverse=True,
+                       key=[f"{bits:0{width}b}"[::-1] for bits in members].__getitem__)
+    family = tuple(_trusted_forest(g, members[p]) for p in positions)
     return family, positions, crossed
 
 

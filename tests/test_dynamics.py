@@ -138,9 +138,7 @@ class TestClassify:
         kv = verdict.to_kv()
         assert "status=divergent" in kv
         assert "witness_kind=two_triangles" in kv
-        as_dict = verdict.to_dict()
-        assert as_dict["status"] == "divergent"
-        assert len(as_dict["witness_edges"]) == 2
+        assert kv.splitlines()[-1].count(";") == 1  # two edge groups
 
     def test_convergent_serialization(self):
         kv = classify(TRIANGLE_TAIL).to_kv()
@@ -353,9 +351,9 @@ class TestCliqueWitnesses:
     def test_witness_forests_are_forests_of_host(self):
         verdict = classify(BOWTIE)
         witness = clique_witness_from_two_triangles(BOWTIE, *verdict.witness)
-        family = build_forest_graph(BOWTIE).family
+        fg = build_forest_graph(BOWTIE)
         for f in witness.forests:
-            family.index_of(f)  # raises if absent
+            fg.forest_index(f)  # raises if absent
 
     def test_unchecked_forests_pass_validation(self):
         # the constructors build their forests unchecked; on every cycle,

@@ -60,6 +60,11 @@ class TestConstruction:
         g = complete_graph(4)
         assert build_forest_graph(g).forest_index(maximal_forests(g)[7]) == 7
 
+    def test_forest_index_inverts_the_family(self):
+        for g in product_corpus():
+            fg = build_forest_graph(g)
+            assert [fg.forest_index(f) for f in fg.family] == list(range(len(fg.family))), g
+
     def test_budget_refused_before_enumeration(self, monkeypatch):
         def enumerate_trees(g, block):
             raise AssertionError("enumerated over budget")

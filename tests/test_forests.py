@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from forestgraph import (BudgetError, Graph, GraphInputError,
+from forestgraph import (BudgetError, ForestGraph, Graph, GraphInputError,
                          MaximalForest, brute_force_maximal_forests,
                          bridges, build_forest_graph, cartesian_product,
                          complete_graph, components,
@@ -171,19 +171,43 @@ class TestEnumeration:
         assert info.value.budget == 100
 
     def test_family_index(self):
-        family = maximal_forests(complete_graph(4))
-        for i, f in enumerate(family):
-            assert family.index_of(f) == i
+        fg = build_forest_graph(complete_graph(4))
+        for i, f in enumerate(maximal_forests(complete_graph(4))):
+            assert fg.forest_index(f) == i
         other = MaximalForest(complete_graph(4), (0, 1, 2))
-        assert family.index_of(other) == 0
+        assert fg.forest_index(other) == 0
 
     def test_family_index_checks_host(self):
         # the same edge ids, so the same bits, but a C_4 forest is another edge set
         on_cycle = MaximalForest(cycle_graph(4), (0, 1, 2))
-        with pytest.raises(GraphInputError):
-            maximal_forests(complete_graph(4)).index_of(on_cycle)
-        with pytest.raises(GraphInputError):
+        with pytest.raises(GraphInputError, match="forest belongs to a different graph"):
             build_forest_graph(complete_graph(4)).forest_index(on_cycle)
+
+    def test_family_index_refuses_a_non_member(self):
+        # every maximal forest of g is in its family, so only a family built
+        # short can lack one: here the first one and the last
+        family = maximal_forests(BOWTIE)
+        fg = ForestGraph(BOWTIE, family[1:-1], None)
+        for f in (family[0], family[-1]):
+            with pytest.raises(GraphInputError, match="forest is not a member of this family"):
+                fg.forest_index(f)
+
+    def test_family_is_a_tuple(self):
+        family = maximal_forests(BOWTIE)
+        assert type(family) is tuple and len(family) == 9
+        assert all(type(f) is MaximalForest for f in family)
+        assert build_forest_graph(BOWTIE).family == family
+
+    def test_listing_k7_stays_small(self):
+        # with a dict from forest bits to index beside the family it peaked at 5.2 MB
+        tracemalloc.start()
+        try:
+            family = maximal_forests(complete_graph(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(family) == 16807
+        assert peak < 4 * 2**20
 
 
 class TestMaximalForestType:

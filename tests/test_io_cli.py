@@ -128,6 +128,25 @@ class TestDotParse:
         assert parse_graph("graph { a -- b; }").edges == ((0, 1),)
         assert parse_graph("a b\n").edges == ((0, 1),)
 
+    @pytest.mark.parametrize("text, column, message", [
+        ("grph {}", 1, "expected 'graph', got 'grph'"),
+        ("graph -- { }", 7, "expected a graph name or '{'"),
+        ("graph { a [color=red }", 22, "unterminated attribute list"),
+        ("graph { a -- b", 14, "missing closing '}'"),
+        ("graph { -> }", 9, "directed edges are not supported"),
+        ("graph { -- a }", 9, "unexpected '--'"),
+        ("graph { a -- ; }", 14, "dangling edge operator"),
+        ("graph { a -- -> b }", 14, "directed edges are not supported"),
+    ])
+    def test_errors_name_their_column(self, text, column, message):
+        with pytest.raises(ParseError) as info:
+            parse_dot(text)
+        assert str(info.value) == f"line 1, column {column}: {message}"
+
+    def test_graph_attribute_statement_ignored(self):
+        g = parse_dot("graph { rankdir = LR; c -- d }")
+        assert g.vertex_names == ("c", "d") and g.edges == ((0, 1),)
+
 
 class TestFormat:
     def test_edge_list_roundtrip(self):
@@ -283,6 +302,15 @@ class TestCliGolden:
                                text, capsys)
         assert time.perf_counter() - start < 1
         assert (code, out) == (0, want)
+
+    def test_roots_and_depth_name_other_graphs_by_size(self, capsys):
+        f_bowtie = format_edge_list(build_forest_graph(parse_edge_list(BOWTIE_TEXT)).graph)
+        code, out, _ = run_cli(["roots", "-"], f_bowtie, capsys)
+        assert (code, out) == (0, "1 root: graph(5 vertices, 6 edges); depth >= 1; "
+                                  "chain stops (degree-bound)\n")
+        code, out, _ = run_cli(["depth", "-"], f_bowtie, capsys)
+        assert (code, out) == (0, "depth >= 1; chain: graph(5 vertices, 6 edges) -> "
+                                  "graph(9 vertices, 18 edges); stops: degree-bound (proof)\n")
 
     def test_gen_and_depth(self, capsys):
         code, out, _ = run_cli(["gen", "complete", "4"], capsys=capsys)
@@ -457,6 +485,23 @@ class TestCliErrors:
         out, err = capsys.readouterr()
         assert stop.value.code == 2 and out == ""
         assert "unrecognized arguments: --budget 5" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    @pytest.mark.parametrize("argv", [["forests", "-"], ["fgraph", "-"], ["iterate", "-", "1"]],
+                             ids=lambda argv: argv[0])
+    def test_budget_must_be_a_positive_integer(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as stop:
+            run_cli(argv + ["--budget", value], "0 1\n1 2\n0 2\n", capsys)
+        out, err = capsys.readouterr()
+        assert stop.value.code == 2 and out == ""
+        assert f"argument --budget: must be a positive integer, got '{value}'" in err
+        code, out, err = run_cli(argv + ["--budget", "1"], "0 1\n1 2\n0 2\n", capsys)
+        assert (code, out) == (3, "") and "over the budget of 1" in err
+
+    def test_budget_too_long_for_int_is_no_limit(self, capsys):
+        # int() refuses over 4300 digits; the decimal rule reads that as infinity
+        code, out, _ = run_cli(["forests", "-", "--budget", "9" * 5000], "0 1\n1 2\n0 2\n", capsys)
+        assert (code, out.splitlines()[0]) == (0, "3 maximal forests")
 
     def test_budget_cases_cover_every_subcommand(self):
         subcommands = _PARSER._subparsers._group_actions[0].choices

@@ -274,6 +274,12 @@ class TestDepth:
                                            (tuple(range(5)),))
         assert not chain.verify()
 
+    def test_chain_certificate_checks_the_edges(self):
+        # C_4 has four maximal forests and the map is a bijection onto its
+        # vertices, but F(C_4) = K_4 has six edges to C_4's four
+        chain = roots.RootChainCertificate((cycle_graph(4), cycle_graph(4)), ((0, 1, 2, 3),))
+        assert not chain.verify()
+
     def test_chain_certificate_maps_check_edges(self):
         report = depth_lower_bound(complete_graph(4))
         mapping = report.chain.iso_maps[0]
