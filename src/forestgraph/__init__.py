@@ -12,8 +12,7 @@ from .dynamics import (CliqueWitness, GrowthReport, GrowthStep, Verdict,
                        clique_witness_from_cycle,
                        clique_witness_from_two_triangles, is_stable, iterate_F,
                        ring_witness_from_clique, verify_clique_growth)
-from .forest_graph import (ConnectivityReport, ForestGraph, build_forest_graph,
-                           exchange_path, finite_connectivity_check,
+from .forest_graph import (ForestGraph, build_forest_graph, exchange_path,
                            forest_distance)
 from .forests import (MaximalForest, brute_force_maximal_forests, count_maximal_forests,
                       extend_to_maximal, maximal_forests)
@@ -32,7 +31,7 @@ from .roots import (DepthReport, NoRootCertificate, RootChainCertificate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError", "CliqueWitness", "ConnectivityReport", "Cycle",
+    "BudgetError", "CliqueWitness", "Cycle",
     "DepthReport", "ForestGraph", "Graph",
     "GraphInputError", "GrowthReport", "GrowthStep", "MaximalForest",
     "NoRootCertificate", "ParseError", "RootChainCertificate",
@@ -43,7 +42,7 @@ __all__ = [
     "count_maximal_forests", "cycle_graph",
     "depth_lower_bound", "enumerate_graphs",
     "exchange_path", "extend_to_maximal", "find_isomorphism", "find_roots",
-    "finite_connectivity_check", "forest_distance", "format_dot",
+    "forest_distance", "format_dot",
     "format_edge_list", "is_bipartite", "is_isomorphic",
     "is_stable", "iterate_F", "max_clique", "maximal_forests", "no_root_prune",
     "parse_dot", "parse_edge_list", "parse_graph", "path_graph",

@@ -16,8 +16,6 @@ from . import dynamics, forest_graph, forests, graphs, roots
 
 CheckResult = namedtuple("CheckResult", "name ok detail")
 
-EXACT_GROWTH_CAP = 125
-
 
 def _small_corpus(max_n):
     for n in range(1, max_n + 1):
@@ -97,22 +95,18 @@ def check_forest_graph_shape(max_n=5):
 
 
 def divergence_growth_evidence(g, fg):
-    """Certify count(F(g)) > count(g) for divergent g, exactly or by exchange bound.
+    """Certify count(F(g)) > count(g) for divergent g by the exchange bound.
 
-    Forest graphs of at most EXACT_GROWTH_CAP vertices get the exact
-    determinant comparison.  For larger ones the bound
-    count(F(g)) >= 1 + 2(m - N + 1) applies (one fixed spanning tree plus its
-    single exchanges, each non-tree edge contributing at least two, all
-    distinct), and it always clears N.  A convergent graph has one forest or
-    three, so g is divergent: every tree T of g leaves out two edges, or one
-    edge f whose fundamental cycle C_T(f) has four or more edges.  T's degree
-    in F(g), the sum of |C_T(f)| - 1 over the edges f outside T, is then at
-    least 3, so m >= 3N/2 and the bound is at least N + 3.
+    count(F(g)) >= 1 + 2(m - N + 1) for F(g) of N vertices and m edges: one
+    fixed spanning tree plus its single exchanges, each non-tree edge
+    contributing at least two, all distinct.  The bound always clears N.  A
+    convergent graph has one forest or three, so g is divergent: every tree
+    T of g leaves out two edges, or one edge f whose fundamental cycle
+    C_T(f) has four or more edges.  T's degree in F(g), the sum of
+    |C_T(f)| - 1 over the edges f outside T, is then at least 3, so
+    m >= 3N/2 and the bound is at least N + 3.
     """
     c0 = len(fg.family)
-    if c0 <= EXACT_GROWTH_CAP:
-        c1 = forests.count_maximal_forests(fg.graph)
-        return {"mode": "exact", "grew": c1 > c0, "count": c0, "next_count": c1}
     bound = 1 + 2 * (len(fg.graph.edges) - fg.graph.vertex_count + 1)
     return {"mode": "exchange-bound", "grew": bound > c0, "count": c0, "lower_bound": bound}
 
@@ -330,6 +324,9 @@ def check_triangle_grid():
 
 
 def run_all(max_n=5, seed=0, whitney_count=100):
+    if max_n > roots.GRAPH_ENUM_VERTEX_LIMIT:
+        # refuse before any check, as the first order past the limit would
+        roots.enumerate_graphs(roots.GRAPH_ENUM_VERTEX_LIMIT + 1)
     return [
         check_forest_counts(max_n),
         check_exchange_metric(max_n),

@@ -10,11 +10,9 @@ the enumeration crosses the blocks in, into its final neighbour tuples.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from collections import namedtuple
 
-from .forests import FOREST_BUDGET, _block_trees, _forest_product, _joins, _trusted_forest
+from .forests import FOREST_BUDGET, _forest_product, _joins, _trusted_forest
 from .graphs import Graph, GraphInputError, _ids
 
 
@@ -142,27 +140,3 @@ def exchange_path(g, f1, f2) -> list:
     path.reverse()
     return path
 
-
-ConnectivityReport = namedtuple("ConnectivityReport", "order connected diameter")
-
-
-def finite_connectivity_check(g, budget=FOREST_BUDGET) -> ConnectivityReport:
-    """Order, connectivity and diameter of F(g), read off its blocks' trees
-    without building F(g) or crossing the blocks; refuses over budget as
-    `maximal_forests` does.
-
-    F(g) is connected by the exchange property.  Forests T and T' lie
-    |T' - T| exchanges apart, and a forest T' can take in any maximal forest
-    of the edges outside T, so the farthest forest from T is r(E - T) away,
-    the rank of the edges outside T in the cycle matroid.  That rank and
-    F(g) itself split over the blocks, so the diameter is the sum over the
-    blocks of the largest r(B - T) over the block's trees T.
-    """
-    _, crossed = _block_trees(g, budget)
-    # a bridge is its block's one tree and leaves no edge out: it adds 0
-    diameter = 0
-    for block, trees in crossed:
-        start = {v: v for i in block for v in g.edges[i]}
-        diameter += max(len(_joins(g, [i for i in block if not tree >> i & 1], dict(start)))
-                        for tree in trees)
-    return ConnectivityReport(math.prod(len(trees) for _, trees in crossed), True, diameter)

@@ -120,11 +120,12 @@ def _det_bareiss(a):
 
 
 def _tree_count(g, block):
-    """Spanning trees of one block (its edge ids): its edge count for a bridge or
-    a cycle, else the determinant of its Laplacian less row and column 0."""
+    """Spanning trees of one block of two or more edges (its edge ids): its
+    edge count for a cycle, else the determinant of its Laplacian less row
+    and column 0."""
     verts = {v for i in block for v in g.edges[i]}
-    if len(verts) >= len(block):
-        # a bridge is its one tree; each tree of a cycle drops one of its edges
+    if len(verts) == len(block):
+        # each tree of a cycle drops one of its edges
         return len(block)
     pos = {v: k for k, v in enumerate(verts)}
     mat = [[0] * len(pos) for _ in pos]
@@ -178,18 +179,33 @@ def _spanning_trees(g, block):
     return out
 
 
-def _block_trees(g, budget):
-    """(bridges, crossed) from one pass over the blocks of g: the bridges' edge
-    ids, each its block's one tree, and (block, trees) for each other block in
-    block order, trees the bitmasks of the block's spanning trees.  The exact
-    count is refused over budget before any tree is listed, and each block's
-    list is checked against its own count."""
-    bridges, found = [], []
-    for block in blocks(g):
-        if len(block) == 1:
-            bridges.append(block[0])
-        else:
-            found.append((block, _tree_count(g, block)))
+def maximal_forests(g, budget=FOREST_BUDGET) -> tuple:
+    """Every maximal forest, as a tuple; refuses (with the exact count) over budget.
+
+    The blocks' trees are crossed into the family, which is sorted once
+    into lexicographic order of edge-id tuples.  For edge sets of one size
+    that order puts first the set owning the lowest edge of the symmetric
+    difference, so it sorts the bit strings read from edge 0 up, highest
+    first.
+    """
+    return _forest_product(g, budget)[0]
+
+
+def _forest_product(g, budget):
+    """The family as `maximal_forests` builds it, with the product structure
+    it crosses: (family, positions, crossed), from one pass over the blocks.
+
+    positions[i] is family[i]'s product position, its blocks' tree numbers
+    read as a mixed-radix number with the first block most significant, and
+    crossed lists (block, trees) for each block with two or more trees, in
+    block order; a tree's number is its index in trees.  The exact count is
+    refused over budget before any tree is listed, and each block's list is
+    checked against its own count.
+    """
+    split = blocks(g)
+    # a bridge is its block's one tree, kept as its edge id
+    bridges = [block[0] for block in split if len(block) == 1]
+    found = [(block, _tree_count(g, block)) for block in split if len(block) > 1]
     count = math.prod(want for _, want in found)
     if count > budget:
         raise BudgetError(
@@ -198,31 +214,6 @@ def _block_trees(g, budget):
     crossed = [(block, _spanning_trees(g, block)) for block, _ in found]
     if [len(trees) for _, trees in crossed] != [want for _, want in found]:
         raise AssertionError("a block's enumerated trees disagree with its determinant")
-    return bridges, crossed
-
-
-def maximal_forests(g, budget=FOREST_BUDGET) -> tuple:
-    """Every maximal forest, as a tuple; refuses (with the exact count) over budget.
-
-    The trees `_block_trees` lists per block are crossed into the family,
-    which is sorted once into lexicographic order of edge-id tuples.  For
-    edge sets of one size that order puts first the set owning the lowest
-    edge of the symmetric difference, so it sorts the bit strings read from
-    edge 0 up, highest first.
-    """
-    return _forest_product(g, budget)[0]
-
-
-def _forest_product(g, budget):
-    """The family as `maximal_forests` builds it, with the product structure
-    it crosses: (family, positions, crossed).
-
-    positions[i] is family[i]'s product position, its blocks' tree numbers
-    read as a mixed-radix number with the first block most significant, and
-    crossed lists (block, trees) for each block with two or more trees, in
-    block order; a tree's number is its index in trees.
-    """
-    bridges, crossed = _block_trees(g, budget)
     width = len(g.edges)
     # every member holds the bridges, so the crossing starts from their
     # union, and the crossing order makes each member's index its position

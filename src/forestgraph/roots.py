@@ -176,9 +176,10 @@ def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET) -> RootSearchResult:
     full forest-graph construction plus isomorphism test; each root comes
     with its map from F(H) onto g.  The candidates of each order come from
     a table built the first time a search reaches that order, so a pruned
-    graph enumerates nothing and a refusal at n stops before n + 1.  An
-    empty result carries a proof-grade certificate ("degree-bound" when
-    max_vertices covered the whole degree bound) or an exhausted-budget one.
+    graph enumerates nothing, and a bound past the enumerator's limit is
+    refused before any order is scanned.  An empty result carries a
+    proof-grade certificate ("degree-bound" when max_vertices covered the
+    whole degree bound) or an exhausted-budget one.
     """
     cert = no_root_prune(g)
     if cert is not None:
@@ -187,6 +188,9 @@ def find_roots(g, max_vertices=DEFAULT_ROOT_VERTEX_BUDGET) -> RootSearchResult:
     degree = g.degree(low)
     max_corank = degree // 2
     top = min(max_vertices, degree + 1)
+    if top > GRAPH_ENUM_VERTEX_LIMIT:
+        # refuse before the scan, as its first order past the limit would
+        enumerate_graphs(GRAPH_ENUM_VERTEX_LIMIT + 1)
     note = (f"searched connected isthmus-free candidates on <= {top} vertices"
             f" with corank <= {max_corank}")
     roots = []
@@ -406,10 +410,11 @@ def whitney_twist(g, u, v, side) -> WhitneyResult:
     """
     if u == v:
         raise GraphInputError("separation pair needs two distinct vertices")
-    for x in (u, v):
+    side = set(side)
+    for x in (u, v, *side):
         if not 0 <= x < g.vertex_count:
             raise GraphInputError(f"vertex {x} out of range")
-    side = set(side) - {u, v}
+    side -= {u, v}
     rest = set(range(g.vertex_count)) - side - {u, v}
     if not side or not rest:
         raise GraphInputError("both sides of the separation must have more than two vertices")

@@ -415,6 +415,22 @@ class TestCliRootSearch:
         assert err == "budget exceeded: isomorphism limited to 12 vertices (got 16)\n"
         assert orders == [1, 2, 3, 4]
 
+    K9 = format_edge_list(complete_graph(9))
+    PAST_LIMIT = "budget exceeded: graph enumeration limited to 7 vertices (got 8)\n"
+
+    @pytest.mark.parametrize("cmd", ["roots", "depth"])
+    def test_bound_past_enumerator_refused_before_any_order(self, capsys, orders, cmd):
+        # K_9's degree bound reaches 9 vertices: refused before order 1 is scanned
+        start = time.perf_counter()
+        code, out, err = run_cli([cmd, "-", "--max-vertices", "9"], self.K9, capsys)
+        assert (code, out, err) == (3, "", self.PAST_LIMIT)
+        assert orders == [8]
+        assert time.perf_counter() - start < 0.5
+
+    def test_bound_within_enumerator_still_searched(self, capsys):
+        code, out, err = run_cli(["roots", "-", "--max-vertices", "7"], self.K9, capsys)
+        assert (code, out, err) == (0, "no roots (exhausted-budget)\n", "")
+
     K4 = format_edge_list(complete_graph(4))
 
     @pytest.mark.parametrize("budget, want", [
@@ -577,6 +593,13 @@ class TestCliVerify:
                                 "--format", "structured"], capsys=capsys)
         assert code == 0
         assert "two-step-convergence=pass" in out.splitlines()
+
+    def test_order_past_enumerator_refused_before_any_check(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", "--max-n", "8"], capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: graph enumeration limited to 7 vertices (got 8)\n"
+        assert time.perf_counter() - start < 0.5
 
     def test_failure_names_check(self, capsys):
         # a 2-vertex corpus holds no K_3, so the stability census must fail

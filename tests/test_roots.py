@@ -11,7 +11,7 @@ from forestgraph import (BudgetError, Graph, GraphInputError, bridges,
                          find_roots, forest_distance, is_isomorphic, maximal_forests,
                          no_root_prune, path_graph, roots, whitney_identify,
                          whitney_split, whitney_twist)
-from forestgraph.checks import whitney_invariance_trials
+from forestgraph.checks import run_all, whitney_invariance_trials
 from forestgraph.roots import (REASON_BIPARTITE, REASON_DEGREE_BOUND,
                                REASON_DISCONNECTED, REASON_EXHAUSTED,
                                REASON_ISTHMUS_OR_ISOLATED, REASON_ORDER_MISMATCH)
@@ -321,6 +321,13 @@ class TestEnumerateGraphs:
         with pytest.raises(BudgetError):
             enumerate_graphs(8)
 
+    @pytest.mark.parametrize("scan", [lambda: find_roots(complete_graph(9), 9),
+                                      lambda: run_all(max_n=9)])
+    def test_scan_past_limit_refused_at_its_first_order_past_it(self, scan):
+        with pytest.raises(BudgetError, match=r"limited to 7 vertices \(got 8\)$") as err:
+            scan()
+        assert (err.value.count, err.value.budget) == (8, 7)
+
     def test_returned_list_is_a_copy(self):
         graphs = enumerate_graphs(4)
         want = list(graphs)
@@ -427,6 +434,11 @@ class TestWhitneyTwist:
     def test_crossing_edge_rejected(self):
         with pytest.raises(GraphInputError):
             whitney_twist(complete_graph(4), 0, 1, [2])
+
+    @pytest.mark.parametrize("x", [99, -1])
+    def test_side_vertex_out_of_range(self, x):
+        with pytest.raises(GraphInputError, match=f"^vertex {x} out of range$"):
+            whitney_twist(cycle_graph(4), 0, 2, [x])
 
     def test_symmetric_paths_swap_cleanly(self):
         # edges u-x and v-x inside the side swap with each other, no clash
