@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .forests import FOREST_BUDGET, _forest_product, _joins, _trusted_forest
-from .graphs import Graph, GraphInputError, _ids
+from .graphs import Graph, GraphInputError, _ids, _no_cyclic_gc
 
 
 class ForestGraph:
@@ -44,6 +44,7 @@ class ForestGraph:
         return f"ForestGraph(order={len(self.family)}, size={len(self.graph.edges)})"
 
 
+@_no_cyclic_gc
 def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     """Enumerate the forest family and connect forests one exchange apart.
 
@@ -77,10 +78,13 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
             runs = [(row if stride == 1 else [u * stride for u in row],)
                     for row in _exchange_neighbours(trees)]
         digits.append((stride, count, runs))
-    adj = [tuple(sorted([index[base + offset] for stride, count, runs in digits
-                         for t in (p // stride % count,) for base in (p - t * stride,)
-                         for run in runs[t] for offset in run]))
-           for p in positions]
+    adj = []
+    for p in positions:
+        row = [index[base + offset] for stride, count, runs in digits
+               for t in (p // stride % count,) for base in (p - t * stride,)
+               for run in runs[t] for offset in run]
+        row.sort()
+        adj.append(tuple(row))
     return ForestGraph(g, family, Graph._from_neighbours(adj))
 
 

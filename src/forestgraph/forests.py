@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import BudgetError, GraphInputError, _ids, _mask, blocks, components
+from .graphs import BudgetError, GraphInputError, _ids, _mask, _no_cyclic_gc, blocks, components
 
 FOREST_BUDGET = 10**6
 BRUTE_FORCE_EDGE_LIMIT = 20
@@ -179,6 +179,7 @@ def _spanning_trees(g, block):
     return out
 
 
+@_no_cyclic_gc
 def maximal_forests(g, budget=FOREST_BUDGET) -> tuple:
     """Every maximal forest, as a tuple; refuses (with the exact count) over budget.
 

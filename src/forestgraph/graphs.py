@@ -8,6 +8,8 @@ indices.  All outputs are deterministic functions of the input graph.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
@@ -112,6 +114,23 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
+
+
+def _no_cyclic_gc(build):
+    """`build` with the cyclic collector paused for each call, for builders
+    whose bulk of new containers forms no reference cycle: each collection
+    their allocations trigger would scan them all and free nothing.  A
+    collector the caller disabled stays disabled."""
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def complete_graph(n) -> Graph:

@@ -15,7 +15,7 @@ import itertools
 import math
 import re
 
-from .graphs import Graph
+from .graphs import Graph, _no_cyclic_gc
 
 HEADER_VERTEX_LIMIT = 10**6
 
@@ -44,9 +44,9 @@ def _column(line, k):
     return [m.start() for m in re.finditer(r"\S+", line)][k] + 1
 
 
+@_no_cyclic_gc
 def parse_edge_list(text) -> Graph:
     names = {}
-    order = []
     edges = []
     declared = None
     saw_data = False
@@ -66,15 +66,11 @@ def parse_edge_list(text) -> Graph:
         if len(tokens) != 2:
             raise ParseError(f"expected two vertex tokens, got {len(tokens)}",
                              lineno, _column(line, 2 if len(tokens) > 2 else 0))
-        pair = []
-        for tok in tokens:
-            if tok not in names:
-                names[tok] = len(order)
-                order.append(tok)
-            pair.append(names[tok])
+        pair = [names.setdefault(tok, len(names)) for tok in tokens]
         if pair[0] == pair[1]:
             raise ParseError(f"loop edge at {tokens[0]!r} not allowed", lineno, _column(line, 0))
         edges.append((pair[0], pair[1]))
+    order = tuple(names)
     n = len(order)
     if declared is not None:
         if declared < n:
@@ -90,13 +86,13 @@ def parse_edge_list(text) -> Graph:
     for i in sorted(i for i, tok in zip(map(_decimal, order), order)
                     if i is not None and first <= i < n and str(i) == tok):
         extra[i - first] = next(spare)
-    vertex_names = tuple(order) + tuple(extra)
-    return Graph(n, edges, vertex_names if n else None)
+    return Graph(n, edges, order + tuple(extra) if n else None)
 
 
 _DOT_TOKEN = re.compile(r'[A-Za-z0-9_.]+|"(?:[^"\\]|\\.)*"|--|->|[{};=\[\],]|(\S)')
 
 
+@_no_cyclic_gc
 def parse_dot(text) -> Graph:
     def fail(tok, message):
         """Raise at the 1-based line and column of tok, a (text, offset) pair."""
@@ -138,15 +134,10 @@ def parse_dot(text) -> Graph:
         fail(tokens[pos] if pos < len(tokens) else ("", len(text)), "expected '{'")
     take()
     names = {}
-    order = []
     edges = []
 
     def vertex_id(tok):
-        word = unquote(tok[0])
-        if word not in names:
-            names[word] = len(order)
-            order.append(word)
-        return names[word]
+        return names.setdefault(unquote(tok[0]), len(names))
 
     def skip_attrs():
         while peek() == "[":
@@ -199,7 +190,7 @@ def parse_dot(text) -> Graph:
             edges.append((prev, nxt))
             prev = nxt
             skip_attrs()
-    return Graph(len(order), edges, tuple(order) if order else None)
+    return Graph(len(names), edges, tuple(names) if names else None)
 
 
 def parse_graph(text) -> Graph:

@@ -380,16 +380,15 @@ def whitney_split(g, v, side) -> WhitneyResult:
     neighbor of v but not all of them; the inverse of identification.  The
     new vertex gets index g.vertex_count.
     """
-    if not 0 <= v < g.vertex_count:
-        raise GraphInputError(f"vertex {v} out of range")
     side = set(side)
+    for x in (v, *side):
+        if not 0 <= x < g.vertex_count:
+            raise GraphInputError(f"vertex {x} out of range")
     if v in side:
         raise GraphInputError("side must not contain the split vertex itself")
-    rest_graph = Graph(g.vertex_count,
-                       [e for e in g.edges if v not in e])
-    comps = [set(c) for c in components(rest_graph) if c != [v]]
-    for c in comps:
-        if side & c and not c <= side:
+    # side is a union of components of g - v when no edge of g - v leaves it
+    for a, b in g.edges:
+        if v not in (a, b) and (a in side) != (b in side):
             raise GraphInputError("side must be a union of components of g - v")
     nb = set(g.neighbors(v))
     if not side & nb or nb <= side:

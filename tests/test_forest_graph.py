@@ -1,5 +1,6 @@
 """Forest graph construction, the exchange metric, and constructive paths."""
 
+import gc
 import itertools
 import random
 
@@ -10,8 +11,9 @@ from forestgraph import (BudgetError, Graph, GraphInputError, MaximalForest,
                          bridges, cartesian_product, classify, complete_graph,
                          components, count_maximal_forests, cycle_graph,
                          enumerate_graphs, exchange_path, forest_distance,
-                         is_isomorphic, maximal_forests, path_graph)
-from forestgraph import checks, forest_graph, forests, graphs
+                         is_isomorphic, iterate_F, maximal_forests, parse_dot,
+                         parse_edge_list, path_graph)
+from forestgraph import checks, forest_graph, forests, graphs, io
 
 from .oracles import (bfs_distances, brute_force_exchange_path, bucket_join_edges,
                       dc_spanning_trees, neighbour_tuples)
@@ -305,3 +307,86 @@ class TestOneBlockPass:
             calls.clear()
             build(g)
             assert calls == [g]
+
+
+EDGE_LIST_TEXT = "# a bowtie and a pendant\nvertices 7\na b\na c\nb c\nc d\nc e\nd e\ne f\n"
+DOT_TEXT = 'graph G { a -- b -- c -- a; c -- d -- e -- c [color=red]; e -- "f g"; }'
+
+# each bulk builder, an input, and a name it looks up inside its paused body
+PAUSED_BUILDERS = [
+    (build_forest_graph, BOWTIE, forest_graph, "_forest_product"),
+    (maximal_forests, BOWTIE, forests, "_forest_product"),
+    (parse_edge_list, EDGE_LIST_TEXT, io, "Graph"),
+    (parse_dot, DOT_TEXT, io, "Graph"),
+]
+
+
+class TestCollectorPause:
+    """The bulk builders pause the cyclic collector for one call and leave it
+    as the caller had it, on return and on a refusal alike."""
+
+    @pytest.fixture(autouse=True)
+    def collector_enabled(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("build, arg, module, name", PAUSED_BUILDERS,
+                             ids=[build.__name__ for build, *_ in PAUSED_BUILDERS])
+    def test_paused_inside_and_enabled_after(self, monkeypatch, build, arg, module, name):
+        seen = []
+        inner = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        build(arg)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_a_refusal(self):
+        with pytest.raises(BudgetError):
+            maximal_forests(triangle_chain(13))
+        assert gc.isenabled()
+        with pytest.raises(BudgetError):
+            build_forest_graph(triangle_chain(3), budget=20)
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        for build, arg, _, _ in PAUSED_BUILDERS:
+            build(arg)
+            assert not gc.isenabled(), build
+        with pytest.raises(BudgetError):
+            maximal_forests(triangle_chain(13))
+        assert not gc.isenabled()
+
+    def test_nested_builds(self, monkeypatch):
+        # a builder called inside a paused one leaves the pause in place
+        seen = []
+        product = forest_graph._forest_product
+
+        def nested(g, budget):
+            maximal_forests(g)
+            seen.append(gc.isenabled())
+            return product(g, budget)
+
+        monkeypatch.setattr(forest_graph, "_forest_product", nested)
+        build_forest_graph(BOWTIE)
+        assert seen == [False]
+        assert gc.isenabled()
+        monkeypatch.undo()
+        assert iterate_F(BOWTIE, 2).vertex_count == 11664
+        assert gc.isenabled()
+
+    def test_builds_leave_no_cyclic_garbage(self):
+        # why the pause is safe: what the builders make holds no reference
+        # cycle, so reference counts free all of it and nothing is left over
+        corpus = product_corpus() + [complete_graph(6), triangle_chain(6)]
+        gc.collect()
+        built = [build_forest_graph(g) for g in corpus]
+        built += [parse_edge_list(EDGE_LIST_TEXT), parse_dot(DOT_TEXT)]
+        del built
+        assert gc.collect() == 0

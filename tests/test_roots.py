@@ -405,6 +405,15 @@ class TestWhitneySplit:
         with pytest.raises(GraphInputError):
             whitney_split(BOWTIE, 2, [0, 1, 3, 4])
 
+    def test_side_must_be_whole_components(self):
+        with pytest.raises(GraphInputError, match="union of components"):
+            whitney_split(BOWTIE, 2, [0])
+
+    @pytest.mark.parametrize("x", [99, -1])
+    def test_side_out_of_range(self, x):
+        with pytest.raises(GraphInputError, match=f"^vertex {x} out of range$"):
+            whitney_split(BOWTIE, 2, [0, 1, x])
+
 
 class TestWhitneyTwist:
     def test_diamond(self):
