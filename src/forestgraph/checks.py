@@ -228,10 +228,13 @@ def whitney_invariance_trials(count=100, seed=0):
     """Randomized applicable Whitney moves; forest families must correspond.
 
     Each applied move's edge bijection must carry the maximal forests of the
-    old graph exactly onto those of the new one.  Returns (applied, failures).
+    old graph exactly onto those of the new one, compared as sets of
+    bitmasks.  Returns (applied, failures).
     """
     rng = random.Random(seed)
     corpus = [g for n in (3, 4, 5) for g in roots.enumerate_graphs(n) if g.edges]
+    # each corpus graph's forests as edge-id tuples, listed on its first move
+    families = {}
     applied = 0
     failures = []
     attempts = 0
@@ -269,10 +272,11 @@ def whitney_invariance_trials(count=100, seed=0):
         except graphs.GraphInputError:
             continue
         applied += 1
-        before = {frozenset(result.edge_map[i] for i in f.edge_ids())
-                  for f in forests.maximal_forests(g)}
-        after = {frozenset(f.edge_ids())
-                 for f in forests.maximal_forests(result.graph)}
+        if g not in families:
+            families[g] = [f.edge_ids() for f in forests.maximal_forests(g)]
+        moved = result.edge_map
+        before = {sum(1 << moved[i] for i in ids) for ids in families[g]}
+        after = {f.bits for f in forests.maximal_forests(result.graph)}
         if before != after:
             failures.append((op, g))
     return applied, failures

@@ -4,12 +4,15 @@ Two maximal forests are adjacent exactly when their edge sets differ in one
 edge each way (symmetric difference of size two), and the graph distance
 between two forests equals the size of either one-sided difference, which the
 exchange-path construction realizes step by step.  F(g) is built as the
-Cartesian product of its blocks' forest graphs, straight from the positions
-the enumeration crosses the blocks in, into its final neighbour tuples.
+Cartesian product of its blocks' forest graphs in one walk over the product
+positions in the order the enumeration crosses the blocks, each position's
+neighbours read from per-block tables of offsets into its final neighbour
+tuple.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 
 from .forests import FOREST_BUDGET, _forest_product, _joins, _trusted_forest
@@ -54,42 +57,45 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     exchange apart.  So a forest's neighbours sit at the product positions
     that differ from its own in one block's digit, by an adjacent tree of
     that block: a cycle block's trees are pairwise adjacent, and any other
-    block's adjacent trees come from one bucket join over its trees.  The
-    enumeration hands over each forest's position; its neighbours' positions
-    are mapped to family indices and sorted once, into the final adjacency.
+    block's adjacent trees come from one bucket join over its trees.  One
+    walk over the positions in product order draws each position's trees
+    from per-block tables of the offsets their adjacent trees add to it; the
+    neighbours' family indices are sorted once, into the final adjacency.
     """
-    family, positions, factors = _forest_product(g, budget)
+    family, positions, crossed = _forest_product(g, budget)
     # the inverse permutation: index[positions[i]] == i
     index = sorted(range(len(positions)), key=positions.__getitem__)
-    # per block: its stride (the product of the later blocks' tree counts),
-    # its tree count, and for each tree the offsets its adjacent trees add
-    # to a position whose digit for the block is 0
-    digits = []
-    stride = len(positions)
-    for block, trees in factors:
-        count = len(trees)
-        stride //= count
-        if count == len(block):
-            # a cycle (any other block has more trees than edges): each tree
-            # drops one edge, so all are one exchange apart
-            runs = [(range(0, t * stride, stride), range((t + 1) * stride, count * stride, stride))
-                    for t in range(count)]
-        else:
-            runs = [(row if stride == 1 else [u * stride for u in row],)
-                    for row in _exchange_neighbours(trees)]
-        digits.append((stride, count, runs))
-    adj = []
-    for p in positions:
-        row = [index[base + offset] for stride, count, runs in digits
-               for t in (p // stride % count,) for base in (p - t * stride,)
-               for run in runs[t] for offset in run]
+    # per block, for each tree t, the trees that share a bucket with t, t
+    # among them: a cycle's trees (each drops one edge; any other block has
+    # more trees than edges) are pairwise adjacent
+    near = [[range(len(trees))] * len(trees) if len(trees) == len(block)
+            else _exchange_neighbours(trees) for block, trees in crossed]
+    if len(near) == 1:
+        # one block: its tree numbers are the positions, and its rows come
+        # straight from the bucket join
+        rows = ([index[u] for u in row if u != t] for t, row in enumerate(near[0]))
+    else:
+        # per block, for each tree t, the offsets (u - t) * stride that its
+        # adjacent trees u add to a position whose digit for the block is t;
+        # the positions ascend in product order, the last block's digit fastest
+        tables = []
+        stride = len(index)
+        for shared in near:
+            stride //= len(shared)
+            tables.append([tuple([(u - t) * stride for u in row if u != t])
+                           for t, row in enumerate(shared)])
+        rows = ([index[p + d] for run in offsets for d in run]
+                for p, offsets in enumerate(itertools.product(*tables)))
+    adj = [None] * len(index)
+    for p, row in enumerate(rows):
         row.sort()
-        adj.append(tuple(row))
+        adj[index[p]] = tuple(row)
     return ForestGraph(g, family, Graph._from_neighbours(adj))
 
 
 def _exchange_neighbours(trees):
-    """For each tree, the indices of the trees one exchange from it.
+    """For each tree, the indices of the trees one exchange from it, and its
+    own index once per edge.
 
     Each tree goes into one bucket per member edge, keyed by its edge set
     minus that edge: two trees share a bucket exactly when they differ in one
@@ -104,7 +110,7 @@ def _exchange_neighbours(trees):
     for group in buckets.values():
         for t in group:
             near[t] += group
-    return [[u for u in group if u != t] for t, group in enumerate(near)]
+    return near
 
 
 def forest_distance(f1, f2) -> int:

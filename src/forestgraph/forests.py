@@ -186,8 +186,8 @@ def maximal_forests(g, budget=FOREST_BUDGET) -> tuple:
     The blocks' trees are crossed into the family, which is sorted once
     into lexicographic order of edge-id tuples.  For edge sets of one size
     that order puts first the set owning the lowest edge of the symmetric
-    difference, so it sorts the bit strings read from edge 0 up, highest
-    first.
+    difference, so it sorts the bitmasks reversed over the edge width,
+    edge 0 the top bit, highest first.
     """
     return _forest_product(g, budget)[0]
 
@@ -221,10 +221,20 @@ def _forest_product(g, budget):
     members = [_mask(bridges, width)]
     for block, trees in crossed:
         members = [bits | tree for bits in members for tree in trees]
-    positions = sorted(range(len(members)), reverse=True,
-                       key=[f"{bits:0{width}b}"[::-1] for bits in members].__getitem__)
+    positions = _lexicographic_positions(width, bridges, crossed)
     family = tuple(_trusted_forest(g, members[p]) for p in positions)
     return family, positions, crossed
+
+
+def _lexicographic_positions(width, bridges, crossed):
+    """The crossing positions in the family's order, by integer keys: a
+    member's bits reversed over the edge width.  The reversal of a disjoint
+    union is the union of the reversals, so the keys cross as the members do."""
+    keys = [_mask([width - 1 - i for i in bridges], width)]
+    for block, trees in crossed:
+        flipped = [int(f"{tree:0{width}b}"[::-1], 2) for tree in trees]
+        keys = [key | flip for key in keys for flip in flipped]
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
 
 
 def extend_to_maximal(g, partial) -> MaximalForest:

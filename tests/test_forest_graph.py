@@ -40,9 +40,10 @@ class TestConstruction:
         assert is_isomorphic(fg.graph, rook)
 
     def test_forest_gives_k1(self):
-        for g in (path_graph(4), Graph(3, []), Graph(1, [])):
+        for g in (path_graph(4), Graph(3, []), Graph(1, []), Graph(0, [])):
             fg = build_forest_graph(g)
             assert fg.graph.vertex_count == 1 and not fg.graph.edges
+            assert fg.family[0].bits == (1 << len(g.edges)) - 1
 
     def test_adjacency_is_definitional(self):
         for g in small_corpus(4):
@@ -109,16 +110,26 @@ def glued_block_graph(rng):
         if len(edges) + len(block.edges) + bridge > GLUED_EDGE_CAP:
             break
         comp = rng.choice(comps)
-        anchor = rng.choice(comp)
-        if bridge:
-            edges.append((anchor, n))
-            comp.append(n)
-            anchor = n
-            n += 1
-        names = [anchor] + list(range(n, n + block.vertex_count - 1))
-        n += block.vertex_count - 1
-        comp.extend(names[1:])
-        edges.extend((names[u], names[v]) for u, v in block.edges)
+        n = hang_block(n, edges, comp, rng.choice(comp), block, bridge)
+    return shuffled_graph(rng, n, edges)
+
+
+def hang_block(n, edges, comp, anchor, block, bridge):
+    """Add `block` to the component `comp` (a list of its vertices) of the
+    graph on n vertices with `edges`, glued at `anchor` or hung from it by a
+    bridge; returns the new vertex count."""
+    if bridge:
+        edges.append((anchor, n))
+        comp.append(n)
+        anchor = n
+        n += 1
+    names = [anchor] + list(range(n, n + block.vertex_count - 1))
+    comp.extend(names[1:])
+    edges.extend((names[u], names[v]) for u, v in block.edges)
+    return n + block.vertex_count - 1
+
+
+def shuffled_graph(rng, n, edges):
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
@@ -274,6 +285,65 @@ class TestExchangePath:
         first = exchange_path(g, family[0], family[100])
         second = exchange_path(g, family[0], family[100])
         assert [f.bits for f in first] == [f.bits for f in second]
+
+
+# the block multisets of the 288-, 600-, 1,920- and 7,680-forest builds
+BUILD_MULTISETS = {288: ("C6", "K3", "K4"), 600: ("C4", "C5", "C5", "C6"),
+                   1920: ("C4", "C5", "C6", "K4"), 7680: ("C4", "C4", "C5", "C6", "K4")}
+NAMED_BLOCKS = {"K3": complete_graph(3), "C4": cycle_graph(4), "C5": cycle_graph(5),
+                "C6": cycle_graph(6), "K4": complete_graph(4)}
+
+
+def multiset_graph(rng, names, parts=2):
+    """The named blocks over `parts` components, the i-th in component i mod
+    parts, each glued at a random vertex of it or hung from one by a bridge,
+    with shuffled vertex labels."""
+    comps = [[v] for v in range(parts)]
+    n = parts
+    edges = []
+    for i, name in enumerate(names):
+        comp = comps[i % parts]
+        n = hang_block(n, edges, comp, rng.choice(comp), NAMED_BLOCKS[name], rng.random() < 0.3)
+    return shuffled_graph(rng, n, edges)
+
+
+class TestProductWalk:
+    """The product walk and the integer sort keys at the benchmark's scale
+    and past the width of a machine word, against oracles that never split
+    the family into blocks."""
+
+    def assert_exact(self, g):
+        fg = build_forest_graph(g)
+        assert list(fg.family) == sorted(fg.family, key=MaximalForest.edge_ids), g
+        assert fg.graph.edges == bucket_join_edges([f.bits for f in fg.family]), g
+        assert [fg.graph.neighbors(v) for v in range(len(fg.family))] \
+            == neighbour_tuples(fg.graph), g
+        return fg
+
+    def test_benchmark_block_multisets(self):
+        rng = random.Random(28)
+        interleaved = 0
+        for count, names in BUILD_MULTISETS.items():
+            g = multiset_graph(rng, names)
+            assert len(components(g)) == 2
+            assert len(self.assert_exact(g).family) == count
+            positions = forests._forest_product(g, count)[1]
+            # blocks whose edge ids interleave put the family out of product order
+            interleaved += positions != sorted(positions)
+        assert interleaved
+
+    def test_keys_wider_than_a_word(self):
+        # a 100-edge path with a triangle at each end and a C_5 in the middle:
+        # the cycle blocks hold the lowest and the highest edge ids
+        n = 101
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, 2), (50, 54), (n - 3, n - 1)])
+        assert len(g.edges) == 103
+        assert g.edges[:3] == ((0, 1), (0, 2), (1, 2))
+        assert g.edges[-3:] == ((n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1))
+        fg = self.assert_exact(g)
+        assert len(fg.family) == 45
+        assert fg.family[0].edge_ids()[:2] == (0, 1)
+        assert fg.family[-1].edge_ids()[-2:] == (101, 102)
 
 
 def triangle_chain(k):

@@ -8,9 +8,9 @@ from forestgraph import (BudgetError, Graph, GraphInputError, bridges,
                          brute_force_maximal_forests, build_forest_graph,
                          complete_graph, components, count_maximal_forests,
                          cycle_graph, depth_lower_bound, enumerate_graphs,
-                         find_roots, forest_distance, is_isomorphic, maximal_forests,
-                         no_root_prune, path_graph, roots, whitney_identify,
-                         whitney_split, whitney_twist)
+                         find_roots, forest_distance, forests, is_isomorphic,
+                         maximal_forests, no_root_prune, path_graph, roots,
+                         whitney_identify, whitney_split, whitney_twist)
 from forestgraph.checks import run_all, whitney_invariance_trials
 from forestgraph.roots import (REASON_BIPARTITE, REASON_DEGREE_BOUND,
                                REASON_DISCONNECTED, REASON_EXHAUSTED,
@@ -468,3 +468,31 @@ class TestWhitneyRandomized:
         applied, failures = whitney_invariance_trials(60, seed=7)
         assert applied >= 60
         assert failures == []
+
+    def test_a_wrong_edge_map_fails(self, monkeypatch):
+        twist = roots.whitney_twist
+
+        def rotated(g, u, v, side):
+            result = twist(g, u, v, side)
+            edge_map = result.edge_map[1:] + result.edge_map[:1]
+            return roots.WhitneyResult(result.graph, result.vertex_map, edge_map)
+
+        monkeypatch.setattr(roots, "whitney_twist", rotated)
+        applied, failures = whitney_invariance_trials(100, seed=0)
+        assert applied == 100
+        assert failures and {op for op, _ in failures} == {"twist"}
+
+    def test_each_family_listed_once(self, monkeypatch):
+        listed = []
+        enumerate_forests = forests.maximal_forests
+
+        def counted(g):
+            listed.append(g)
+            return enumerate_forests(g)
+
+        monkeypatch.setattr(forests, "maximal_forests", counted)
+        assert whitney_invariance_trials(100, seed=0) == (100, [])
+        # one call per move for the rewritten graph, and one per corpus graph
+        # the first time a move applies to it
+        once = {id(g) for g in listed}
+        assert len(once) == len(listed) < 200
