@@ -6,8 +6,9 @@ between two forests equals the size of either one-sided difference, which the
 exchange-path construction realizes step by step.  F(g) is built as the
 Cartesian product of its blocks' forest graphs in one walk over the product
 positions in the order the enumeration crosses the blocks, each position's
-neighbours read from per-block tables of offsets into its final neighbour
-tuple.
+later neighbours in the family read from per-block tables of offsets; the
+sorted half rows are listed as the edge table, and the graph derives its
+adjacency from that table only when something reads it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,12 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     that differ from its own in one block's digit, by an adjacent tree of
     that block: a cycle block's trees are pairwise adjacent, and any other
     block's adjacent trees come from one bucket join over its trees.  One
-    walk over the positions in product order draws each position's trees
-    from per-block tables of the offsets their adjacent trees add to it; the
-    neighbours' family indices are sorted once, into the final adjacency.
+    walk over the positions in product order draws each position's
+    neighbours from per-block tables of the offsets its adjacent trees add
+    to it, keeping only the neighbours that come later in the family.  Each
+    forest's later neighbours are sorted once and listed in order as the
+    graph's edge table; the graph derives its adjacency when it is first
+    read.
     """
     family, positions, crossed = _forest_product(g, budget)
     # the inverse permutation: index[positions[i]] == i
@@ -71,26 +75,32 @@ def build_forest_graph(g, budget=FOREST_BUDGET) -> ForestGraph:
     near = [[range(len(trees))] * len(trees) if len(trees) == len(block)
             else _exchange_neighbours(trees) for block, trees in crossed]
     if len(near) == 1:
-        # one block: its tree numbers are the positions, and its rows come
-        # straight from the bucket join
-        rows = ([index[u] for u in row if u != t] for t, row in enumerate(near[0]))
+        # one block: its tree numbers are the positions, and its half rows
+        # come straight from the bucket join
+        rows = ([j for j in map(index.__getitem__, row) if j > i]
+                for i, row in zip(index, near[0]))
     else:
         # per block, for each tree t, the offsets (u - t) * stride that its
-        # adjacent trees u add to a position whose digit for the block is t;
-        # the positions ascend in product order, the last block's digit fastest
+        # later adjacent trees u add to a position whose digit for the block
+        # is t; the positions ascend in product order, the last block's digit
+        # fastest.  Two forests that differ in one block compare on that
+        # block's edges alone, so the family order of the positions with
+        # every other digit 0 ranks the block's trees
         tables = []
         stride = len(index)
         for shared in near:
             stride //= len(shared)
-            tables.append([tuple([(u - t) * stride for u in row if u != t])
-                           for t, row in enumerate(shared)])
+            rank = index[:len(shared) * stride:stride]
+            tables.append([tuple([(u - t) * stride for u in row if rank[u] > r])
+                           for t, (row, r) in enumerate(zip(shared, rank))])
         rows = ([index[p + d] for run in offsets for d in run]
                 for p, offsets in enumerate(itertools.product(*tables)))
-    adj = [None] * len(index)
-    for p, row in enumerate(rows):
+    later = [None] * len(index)
+    for i, row in zip(index, rows):
         row.sort()
-        adj[index[p]] = tuple(row)
-    return ForestGraph(g, family, Graph._from_neighbours(adj))
+        later[i] = row
+    edges = tuple([(u, v) for u, row in enumerate(later) for v in row])
+    return ForestGraph(g, family, Graph._from_edges(len(later), edges))
 
 
 def _exchange_neighbours(trees):

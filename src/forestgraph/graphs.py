@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 
 CLIQUE_VERTEX_LIMIT = 200
@@ -60,27 +60,19 @@ class Graph:
             if len(vertex_names) != vertex_count:
                 raise GraphInputError("vertex_names length must equal vertex_count")
         self.vertex_names = vertex_names
-        # the edge table is sorted, so each vertex meets its smaller neighbours
-        # first and in increasing order, then its larger ones: every list
-        # filled in edge order is already sorted
-        adj = [[] for _ in range(vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(map(tuple, adj))
+        self._adj = _adjacency(vertex_count, self.edges)
 
-    @classmethod
-    def _from_neighbours(cls, adj):
-        """The graph on 0..len(adj)-1 in which v has the neighbours adj[v],
-        unchecked, for graphs the package builds: each adj[v] must be a sorted
-        tuple without v, and u in adj[v] exactly when v in adj[u].  Outside
+    @staticmethod
+    def _from_edges(vertex_count, edges):
+        """The graph on 0..vertex_count-1 with the edge table `edges`,
+        unchecked, for graphs the package builds: `edges` must be a sorted
+        tuple of distinct (u, v) pairs with u < v < vertex_count.  Its
+        adjacency is derived the first time something reads it.  Outside
         input goes through `Graph(n, edges)`."""
-        g = cls.__new__(cls)
-        g.vertex_count = len(adj)
+        g = _EdgeTable.__new__(_EdgeTable)
+        g.vertex_count = vertex_count
+        g.edges = edges
         g.vertex_names = None
-        g._adj = tuple(adj)
-        # rows ascend, so each row's part above u lists u's edges in order
-        g.edges = tuple([(u, v) for u, row in enumerate(adj) for v in row[bisect_right(row, u):]])
         return g
 
     def neighbors(self, v):
@@ -114,6 +106,37 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
+
+
+class _EdgeTable(Graph):
+    """A `Graph` from `Graph._from_edges` until its adjacency is first read.
+
+    `__getattr__` runs only for the unset `_adj` slot: it fills the slot from
+    the edge table and makes the graph a plain `Graph`.  The hook stays off
+    `Graph` itself because the interpreter reads every attribute of a class
+    with `__getattr__` on a slower, unspecialised path.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "_adj":
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        self._adj = adj = _adjacency(self.vertex_count, self.edges)
+        self.__class__ = Graph
+        return adj
+
+
+def _adjacency(vertex_count, edges):
+    """The sorted tuple of each vertex's neighbours, from a sorted edge table."""
+    # the edge table is sorted, so each vertex meets its smaller neighbours
+    # first and in increasing order, then its larger ones: every list
+    # filled in edge order is already sorted
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
 
 
 def _no_cyclic_gc(build):

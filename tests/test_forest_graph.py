@@ -2,7 +2,10 @@
 
 import gc
 import itertools
+import math
 import random
+import sys
+from io import StringIO
 
 import pytest
 
@@ -13,7 +16,7 @@ from forestgraph import (BudgetError, Graph, GraphInputError, MaximalForest,
                          enumerate_graphs, exchange_path, forest_distance,
                          is_isomorphic, iterate_F, maximal_forests, parse_dot,
                          parse_edge_list, path_graph)
-from forestgraph import checks, forest_graph, forests, graphs, io
+from forestgraph import checks, cli, forest_graph, forests, graphs, io
 
 from .oracles import (bfs_distances, brute_force_exchange_path, bucket_join_edges,
                       dc_spanning_trees, neighbour_tuples)
@@ -156,12 +159,16 @@ class TestBlockProduct:
 
     def test_built_graph_is_well_formed(self):
         # F(g) skips Graph's validation: its edge table must be what Graph
-        # would normalize it to, and its adjacency what the edges give
-        for g in product_corpus():
+        # would normalize it to, and the adjacency it derives on first use
+        # what the edges give and what Graph builds at once
+        extra = [complete_graph(6), triangle_chain(6), path_graph(50), Graph(1, []), Graph(0, [])]
+        for g in product_corpus() + extra:
             fg = build_forest_graph(g)
-            assert fg.graph == Graph(len(fg.family), fg.graph.edges), g
-            want = neighbour_tuples(fg.graph)
-            assert [fg.graph.neighbors(v) for v in range(len(fg.family))] == want, g
+            n = len(fg.family)
+            eager = Graph(n, fg.graph.edges)
+            assert fg.graph == eager, g
+            got = [fg.graph.neighbors(v) for v in range(n)]
+            assert got == [eager.neighbors(v) for v in range(n)] == neighbour_tuples(fg.graph), g
             assert fg.graph.vertex_names is None
 
     def test_family_matches_brute_force_in_order(self):
@@ -344,6 +351,64 @@ class TestProductWalk:
         assert len(fg.family) == 45
         assert fg.family[0].edge_ids()[:2] == (0, 1)
         assert fg.family[-1].edge_ids()[-2:] == (101, 102)
+
+
+class TestEdgeTable:
+    """F(g) is built as its edge table; its adjacency is derived only when
+    something reads it, and then it is what `Graph` builds at once."""
+
+    @pytest.fixture
+    def adjacency_cap(self, monkeypatch):
+        """Make deriving an adjacency for more than `limit[0]` vertices fail;
+        no cap until the test sets one."""
+        limit = [math.inf]
+        derive = graphs._adjacency
+
+        def guarded(n, edges):
+            if n > limit[0]:
+                raise AssertionError(f"adjacency built for {n} vertices")
+            return derive(n, edges)
+
+        monkeypatch.setattr(graphs, "_adjacency", guarded)
+        return limit
+
+    def test_edges_order_and_family_need_no_adjacency(self, adjacency_cap):
+        rng = random.Random(29)
+        inputs = [multiset_graph(rng, names) for names in BUILD_MULTISETS.values()]
+        adjacency_cap[0] = -1
+        for g, count in zip(inputs, BUILD_MULTISETS):
+            fg = build_forest_graph(g)
+            assert fg.graph.vertex_count == len(fg.family) == count
+            assert fg.graph.edges == bucket_join_edges([f.bits for f in fg.family])
+
+    @pytest.mark.parametrize("fmt", ["human", "structured", "dot"])
+    def test_fgraph_subcommand_needs_no_adjacency(self, monkeypatch, capsys, adjacency_cap, fmt):
+        # the input graph's own adjacency is built as it is parsed
+        for g in (triangle_chain(3), complete_graph(5)):
+            text = io.format_edge_list(g)
+            outputs = []
+            for limit in (math.inf, g.vertex_count):
+                adjacency_cap[0] = limit
+                monkeypatch.setattr(sys, "stdin", StringIO(text))
+                assert cli.main(["fgraph", "-", "--format", fmt]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+            # one line per forest, and more
+            assert len(outputs[1].splitlines()) > count_maximal_forests(g)
+
+    def test_first_read_makes_a_plain_graph(self):
+        fg = build_forest_graph(BOWTIE).graph
+        assert type(fg) is not Graph and isinstance(fg, Graph)
+        assert fg.neighbors(0) == Graph(9, fg.edges).neighbors(0)
+        assert type(fg) is Graph
+        assert not hasattr(build_forest_graph(BOWTIE).graph, "vertex_labels")
+
+    def test_second_iterate_matches_a_validated_build(self):
+        fg = build_forest_graph(BOWTIE).graph
+        second = build_forest_graph(Graph(fg.vertex_count, fg.edges)).graph
+        got = iterate_F(BOWTIE, 2)
+        assert got == second and got.vertex_count == 11664
+        assert all(got.neighbors(v) == second.neighbors(v) for v in range(got.vertex_count))
 
 
 def triangle_chain(k):
