@@ -333,7 +333,7 @@ def run_all(max_n=5, seed=0, whitney_count=100):
         roots.enumerate_graphs(roots.GRAPH_ENUM_VERTEX_LIMIT + 1)
     return [
         check_forest_counts(max_n),
-        check_exchange_metric(max_n),
+        check_exchange_metric(min(max_n, 6)),
         check_forest_graph_shape(min(max_n, 5)),
         check_convergence(max_n),
         check_stability(max_n),

@@ -221,16 +221,17 @@ def _forest_product(g, budget):
     members = [_mask(bridges, width)]
     for block, trees in crossed:
         members = [bits | tree for bits in members for tree in trees]
-    positions = _lexicographic_positions(width, bridges, crossed)
+    positions = _lexicographic_positions(width, crossed)
     family = tuple(_trusted_forest(g, members[p]) for p in positions)
     return family, positions, crossed
 
 
-def _lexicographic_positions(width, bridges, crossed):
+def _lexicographic_positions(width, crossed):
     """The crossing positions in the family's order, by integer keys: a
     member's bits reversed over the edge width.  The reversal of a disjoint
     union is the union of the reversals, so the keys cross as the members do."""
-    keys = [_mask([width - 1 - i for i in bridges], width)]
+    # every member holds every bridge, which adds the same bits to every key
+    keys = [0]
     for block, trees in crossed:
         flipped = [int(f"{tree:0{width}b}"[::-1], 2) for tree in trees]
         keys = [key | flip for key in keys for flip in flipped]

@@ -5,8 +5,9 @@ tokens; lines starting with '#' are ignored, and the first data line may be a
 header "vertices N" declaring extra isolated vertices.  Tokens map to dense
 indices in first-seen order and the names stick to the graph; a declared
 vertex i is named i unless a token already is, and then takes the smallest
-decimal name no token uses.  The DOT subset accepts `graph NAME? { a -- b;
-... }` with attribute brackets ignored.
+decimal name no token uses.  The DOT subset accepts one `strict? graph ID?
+{ a -- b; ... }` with attribute brackets and `ID = ID` settings ignored, where
+an ID is a word of letters, digits, '_' and '.' or a double-quoted string.
 """
 
 from __future__ import annotations
@@ -89,114 +90,100 @@ def parse_edge_list(text) -> Graph:
     return Graph(n, edges, order + tuple(extra) if n else None)
 
 
-_DOT_TOKEN = re.compile(r'[A-Za-z0-9_.]+|"(?:[^"\\]|\\.)*"|--|->|[{};=\[\],]|(\S)')
+# An ID (group 1) is a word or a double-quoted string, and every other token is
+# punctuation; group 2 catches a character that starts no token.
+_DOT_TOKEN = re.compile(r'([A-Za-z0-9_.]+|"(?:[^"\\]|\\.)*")|--|->|[{};=\[\],]|(\S)')
+
+
+def _unquote(word):
+    return word[1:-1].replace('\\"', '"').replace("\\\\", "\\") if word[0] == '"' else word
 
 
 @_no_cyclic_gc
 def parse_dot(text) -> Graph:
     def fail(tok, message):
-        """Raise at the 1-based line and column of tok, a (text, offset) pair."""
+        """Raise at the 1-based line and column of tok, a (text, offset, group) triple."""
         line_start = text.rfind("\n", 0, tok[1]) + 1
         raise ParseError(message, text.count("\n", 0, tok[1]) + 1, tok[1] - line_start + 1)
 
-    tokens = []
-    for match in _DOT_TOKEN.finditer(text):
-        tok = (match.group(), match.start())
-        if match.lastindex:  # the catch-all: no token starts here
-            fail(tok, f"unexpected character {tok[0]!r}")
-        tokens.append(tok)
-    pos = 0
+    # a token is (text, offset, group), with group as in _DOT_TOKEN and None
+    # for punctuation; the sentinel, neither ID nor punctuation, ends every scan
+    tokens = [(m[0], m.start(), m.lastindex) for m in _DOT_TOKEN.finditer(text)]
+    bad = next((tok for tok in tokens if tok[2] == 2), None)
+    if bad:
+        fail(bad, f"unexpected character {bad[0]!r}")
+    end = ("", len(text), None)
+    tokens.append(end)
 
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
+    def after_attributes(i):
+        """Index of the first token after the attribute lists that start at i."""
+        depth = 0
+        while depth or tokens[i][0] == "[":
+            if tokens[i] is end:
+                fail(tokens[-2], "unterminated attribute list")
+            depth += (tokens[i][0] == "[") - (tokens[i][0] == "]")
+            i += 1
+        return i
 
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def unquote(s):
-        return s[1:-1].replace('\\"', '"').replace("\\\\", "\\") if s.startswith('"') else s
-
-    if peek() == "strict":
-        take()
-    header = take() if peek() is not None else ("", len(text))
+    i = 1 if tokens[0][0] == "strict" else 0
+    header = tokens[i]
     if header[0] == "digraph":
         fail(header, "directed graphs are not supported")
     if header[0] != "graph":
         fail(header, f"expected 'graph', got {header[0]!r}")
-    if peek() not in ("{", None):  # a header may end before its '{'; that fails below
-        name_tok = take()
-        if name_tok[0] in ("--", "->", ";", "}", "[", "]"):
-            fail(name_tok, "expected a graph name or '{'")
-    if peek() != "{":
-        fail(tokens[pos] if pos < len(tokens) else ("", len(text)), "expected '{'")
-    take()
+    i += 1
+    if tokens[i][2]:  # the graph's name
+        i += 1
+    elif tokens[i] is not end and tokens[i][0] != "{":
+        fail(tokens[i], "expected a graph name or '{'")
+    if tokens[i][0] != "{":
+        fail(tokens[i], "expected '{'")
+    i += 1
     names = {}
     edges = []
-
-    def vertex_id(tok):
-        return names.setdefault(unquote(tok[0]), len(names))
-
-    def skip_attrs():
-        while peek() == "[":
-            depth = 0
-            while True:
-                if peek() is None:
-                    fail(tokens[-1], "unterminated attribute list")
-                t = take()
-                if t[0] == "[":
-                    depth += 1
-                elif t[0] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-
     while True:
-        tok = peek()
-        if tok is None:
-            fail(tokens[-1], "missing closing '}'")
-        if tok == "}":
-            take()
+        tok = tokens[i]
+        i += 1
+        if tok[0] == "}":
             break
-        if tok == ";":
-            take()
+        if tok[0] == ";":
             continue
-        t = take()
-        if t[0] == "->":
-            fail(t, "directed edges are not supported")
-        if t[0] in ("{", "--", "=", "[", "]", ","):
-            fail(t, f"unexpected {t[0]!r}")
-        if t[0] in ("node", "edge", "graph") and peek() == "[":
-            skip_attrs()
+        if tok is end:
+            fail(tokens[-2], "missing closing '}'")
+        if not tok[2]:
+            fail(tok, "directed edges are not supported" if tok[0] == "->"
+                 else f"unexpected {tok[0]!r}")
+        if tokens[i][0] == "[" and tok[0] in ("node", "edge", "graph"):
+            i = after_attributes(i)
             continue
-        if peek() == "=":  # bare key = value settings are ignored
-            take()
-            take()
+        if tokens[i][0] == "=":  # bare key = value settings are ignored
+            if not tokens[i + 1][2]:
+                fail(tokens[i + 1], "expected an ID after '='")
+            i += 2
             continue
-        prev = vertex_id(t)
-        skip_attrs()
-        while peek() == "--":
-            take()
-            if peek() is None or peek() in ("{", "}", ";", "--", "[", "]"):
-                fail(tokens[pos] if pos < len(tokens) else t, "dangling edge operator")
-            nxt_tok = take()
-            if nxt_tok[0] == "->":
-                fail(nxt_tok, "directed edges are not supported")
-            nxt = vertex_id(nxt_tok)
+        prev = names.setdefault(_unquote(tok[0]), len(names))
+        i = after_attributes(i)
+        while tokens[i][0] == "--":
+            tok = tokens[i + 1]
+            if not tok[2]:
+                fail(tok, "directed edges are not supported" if tok[0] == "->"
+                     else "dangling edge operator")
+            nxt = names.setdefault(_unquote(tok[0]), len(names))
             if nxt == prev:
-                fail(nxt_tok, "loop edge not allowed")
+                fail(tok, "loop edge not allowed")
             edges.append((prev, nxt))
             prev = nxt
-            skip_attrs()
+            i = after_attributes(i + 2)
+    if tokens[i] is not end:
+        fail(tokens[i], f"unexpected {tokens[i][0]!r} after the closing '}}'")
     return Graph(len(names), edges, tuple(names) if names else None)
 
 
 def parse_graph(text) -> Graph:
-    """Parse edge-list or DOT input, sniffing the format from the first keyword."""
-    head = text.lstrip()
-    if head.startswith("strict ") or head.startswith("graph") or head.startswith("digraph"):
+    """Parse edge-list or DOT input: DOT when the first whitespace-separated
+    word, cut at its first '{', is strict, graph or digraph."""
+    head = text.split(maxsplit=1)
+    if head and head[0].partition("{")[0] in ("strict", "graph", "digraph"):
         return parse_dot(text)
     return parse_edge_list(text)
 

@@ -127,6 +127,11 @@ class TestDotParse:
     def test_sniffing(self):
         assert parse_graph("graph { a -- b; }").edges == ((0, 1),)
         assert parse_graph("a b\n").edges == ((0, 1),)
+        # DOT when the first word, cut at its first '{', is a DOT keyword
+        for text in ("strict\ngraph { a -- b }", "strict\tgraph { a -- b }", "graph{a--b}"):
+            assert parse_graph(text).vertex_names == ("a", "b"), text
+        for text in ("graph1 graph2", "graphite lead", "digraphs x", "graph-1 x"):
+            assert parse_graph(text).vertex_names == tuple(text.split()), text
 
     @pytest.mark.parametrize("text, column, message", [
         ("grph {}", 1, "expected 'graph', got 'grph'"),
@@ -137,6 +142,11 @@ class TestDotParse:
         ("graph { -- a }", 9, "unexpected '--'"),
         ("graph { a -- ; }", 14, "dangling edge operator"),
         ("graph { a -- -> b }", 14, "directed edges are not supported"),
+        ("graph { a -- b } graph { c -- d }", 18, "unexpected 'graph' after the closing '}'"),
+        ("graph { a =", 12, "expected an ID after '='"),
+        ("graph { a = ; }", 13, "expected an ID after '='"),
+        ("graph { a -- , }", 14, "dangling edge operator"),
+        ("graph = { }", 7, "expected a graph name or '{'"),
     ])
     def test_errors_name_their_column(self, text, column, message):
         with pytest.raises(ParseError) as info:
@@ -577,6 +587,10 @@ class TestCliErrors:
         code, out, err = run_cli(["count", "-"], text, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {self.TRUNCATED_DOT_END[text]}: expected '{{'\n"
+
+    def test_dot_ending_after_equals_exit_2(self, capsys):
+        code, out, err = run_cli(["count", "-"], "graph { a =", capsys)
+        assert (code, out, err) == (2, "", "error: line 1, column 12: expected an ID after '='\n")
 
 
 class TestCliVerify:

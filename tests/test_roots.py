@@ -11,6 +11,7 @@ from forestgraph import (BudgetError, Graph, GraphInputError, bridges,
                          find_roots, forest_distance, forests, is_isomorphic,
                          maximal_forests, no_root_prune, path_graph, roots,
                          whitney_identify, whitney_split, whitney_twist)
+from forestgraph import checks
 from forestgraph.checks import run_all, whitney_invariance_trials
 from forestgraph.roots import (REASON_BIPARTITE, REASON_DEGREE_BOUND,
                                REASON_DISCONNECTED, REASON_EXHAUSTED,
@@ -327,6 +328,19 @@ class TestEnumerateGraphs:
         with pytest.raises(BudgetError, match=r"limited to 7 vertices \(got 8\)$") as err:
             scan()
         assert (err.value.count, err.value.budget) == (8, 7)
+
+    def test_run_all_caps_the_quadratic_checks(self, monkeypatch):
+        calls = {}
+        for name in [name for name in vars(checks) if name.startswith("check_")]:
+            monkeypatch.setattr(checks, name,
+                                lambda *args, name=name: calls.setdefault(name, args))
+        run_all(max_n=7, seed=3, whitney_count=9)
+        assert calls == {"check_forest_counts": (7,), "check_exchange_metric": (6,),
+                         "check_forest_graph_shape": (5,), "check_convergence": (7,),
+                         "check_stability": (7,), "check_root_exclusions": (),
+                         "check_exact_depth": (), "check_whitney_invariance": (9, 3),
+                         "check_cycle_clique": (), "check_clique_path_swap": (),
+                         "check_triangle_grid": ()}
 
     def test_returned_list_is_a_copy(self):
         graphs = enumerate_graphs(4)
