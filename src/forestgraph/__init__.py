@@ -20,7 +20,7 @@ from .graphs import (BudgetError, Cycle, Graph, GraphInputError,
                      blocks, bridges, cartesian_product,
                      complete_graph, components, cycle_graph,
                      find_isomorphism, is_bipartite,
-                     is_isomorphic, max_clique, path_graph)
+                     is_isomorphic, path_graph)
 from .io import (ParseError, format_dot, format_edge_list, parse_dot,
                  parse_edge_list, parse_graph)
 from .roots import (DepthReport, NoRootCertificate, RootChainCertificate,
@@ -44,7 +44,7 @@ __all__ = [
     "exchange_path", "extend_to_maximal", "find_isomorphism", "find_roots",
     "forest_distance", "format_dot",
     "format_edge_list", "is_bipartite", "is_isomorphic",
-    "is_stable", "iterate_F", "max_clique", "maximal_forests", "no_root_prune",
+    "is_stable", "iterate_F", "maximal_forests", "no_root_prune",
     "parse_dot", "parse_edge_list", "parse_graph", "path_graph",
     "ring_witness_from_clique", "verify_clique_growth", "whitney_identify",
     "whitney_split", "whitney_twist",

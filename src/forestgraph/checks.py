@@ -111,12 +111,21 @@ def divergence_growth_evidence(g, fg):
     return {"mode": "exchange-bound", "grew": bound > c0, "count": c0, "lower_bound": bound}
 
 
+def _largest_clique(g):
+    """The first largest clique of g in `itertools.combinations` order, by a
+    scan of vertex subsets, largest first: corpus graphs have at most 7 vertices."""
+    cliques = (sub for k in range(g.vertex_count, 0, -1)
+               for sub in itertools.combinations(range(g.vertex_count), k)
+               if all(itertools.starmap(g.has_edge, itertools.combinations(sub, 2))))
+    return next(cliques, ())
+
+
 def divergence_bigger_clique(g, fg):
     """A verified clique witness in F^2(g) strictly larger than any clique of g,
     lifted from a ring of forests of g checked edge by edge in F(g), or None
     when g converges.  The ring is built: the chord ring of a maximum clique
     of four or more vertices, else the first witness of g's clique growth."""
-    clique = graphs.max_clique(g)
+    clique = _largest_clique(g)
     if len(clique) >= 4:
         seed = dynamics.ring_witness_from_clique(g, clique)
     elif dynamics.classify(g).status == dynamics.DIVERGENT:

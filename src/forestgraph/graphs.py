@@ -14,7 +14,6 @@ import itertools
 from bisect import bisect_left
 from collections import namedtuple
 
-CLIQUE_VERTEX_LIMIT = 200
 ISO_VERTEX_LIMIT = 12
 
 
@@ -60,27 +59,33 @@ class Graph:
             if len(vertex_names) != vertex_count:
                 raise GraphInputError("vertex_names length must equal vertex_count")
         self.vertex_names = vertex_names
-        self._adj = _adjacency(vertex_count, self.edges)
+        self._adj = None
 
     @staticmethod
     def _from_edges(vertex_count, edges):
         """The graph on 0..vertex_count-1 with the edge table `edges`,
         unchecked, for graphs the package builds: `edges` must be a sorted
-        tuple of distinct (u, v) pairs with u < v < vertex_count.  Its
-        adjacency is derived the first time something reads it.  Outside
+        tuple of distinct (u, v) pairs with u < v < vertex_count.  Outside
         input goes through `Graph(n, edges)`."""
-        g = _EdgeTable.__new__(_EdgeTable)
+        g = Graph.__new__(Graph)
         g.vertex_count = vertex_count
         g.edges = edges
-        g.vertex_names = None
+        g.vertex_names = g._adj = None
         return g
+
+    def _neighbour_lists(self):
+        """The sorted tuple of each vertex's neighbours, derived from the edge
+        table the first time something reads it."""
+        if self._adj is None:
+            self._adj = _adjacency(self.vertex_count, self.edges)
+        return self._adj
 
     def neighbors(self, v):
         """The sorted tuple of v's neighbours."""
-        return self._adj[v]
+        return self._neighbour_lists()[v]
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len(self._neighbour_lists()[v])
 
     def edge_index(self, u, v):
         key = (u, v) if u < v else (v, u)
@@ -108,37 +113,6 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
 
 
-class _EdgeTable(Graph):
-    """A `Graph` from `Graph._from_edges` until its adjacency is first read.
-
-    `__getattr__` runs only for the unset `_adj` slot: it fills the slot from
-    the edge table and makes the graph a plain `Graph`.  The hook stays off
-    `Graph` itself because the interpreter reads every attribute of a class
-    with `__getattr__` on a slower, unspecialised path.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "_adj":
-            raise AttributeError(f"'Graph' object has no attribute {name!r}")
-        self._adj = adj = _adjacency(self.vertex_count, self.edges)
-        self.__class__ = Graph
-        return adj
-
-
-def _adjacency(vertex_count, edges):
-    """The sorted tuple of each vertex's neighbours, from a sorted edge table."""
-    # the edge table is sorted, so each vertex meets its smaller neighbours
-    # first and in increasing order, then its larger ones: every list
-    # filled in edge order is already sorted
-    adj = [[] for _ in range(vertex_count)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return tuple(map(tuple, adj))
-
-
 def _no_cyclic_gc(build):
     """`build` with the cyclic collector paused for each call, for builders
     whose bulk of new containers forms no reference cycle: each collection
@@ -154,6 +128,19 @@ def _no_cyclic_gc(build):
             if enabled:
                 gc.enable()
     return paused
+
+
+@_no_cyclic_gc
+def _adjacency(vertex_count, edges):
+    """The sorted tuple of each vertex's neighbours, from a sorted edge table."""
+    # the edge table is sorted, so each vertex meets its smaller neighbours
+    # first and in increasing order, then its larger ones: every list
+    # filled in edge order is already sorted
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
 
 
 def complete_graph(n) -> Graph:
@@ -241,7 +228,7 @@ def _bfs(g, sources, depth, parent):
     discovering vertex), and yields each vertex as it leaves the queue, so a
     caller may stop early.  By then every vertex of its depth has been reached.
     """
-    adj = g._adj
+    adj = g._neighbour_lists()
     for root in sources:
         if depth[root] != -1:
             continue
@@ -289,7 +276,7 @@ def blocks(g) -> list:
     later-discovered end.
     """
     n = g.vertex_count
-    adj = g._adj
+    adj = g._neighbour_lists()
     disc = [-1] * n
     low = [0] * n
     block_of = [None] * n
@@ -365,61 +352,6 @@ def is_bipartite(g) -> BipartiteReport:
     return BipartiteReport(True, tuple(d & 1 for d in depth), None)
 
 
-def max_clique(g) -> tuple:
-    """Exact maximum clique by branch and bound with a greedy coloring bound.
-
-    Intended for graphs up to a couple hundred vertices; beyond that raises
-    BudgetError (forest-graph callers should use the constructive clique
-    witnesses instead of searching).
-    """
-    n = g.vertex_count
-    if n == 0:
-        return ()
-    if n > CLIQUE_VERTEX_LIMIT:
-        raise BudgetError(
-            f"max_clique limited to {CLIQUE_VERTEX_LIMIT} vertices (got {n}); "
-            "use a constructive clique witness for forest graphs",
-            count=n, budget=CLIQUE_VERTEX_LIMIT)
-    if len(g.edges) == n * (n - 1) // 2:
-        return tuple(range(n))
-    nb = [_mask(adj, n) for adj in g._adj]
-
-    def color_order(cand):
-        out = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                out.append((v, color))
-                rest ^= b
-                avail = (avail ^ b) & ~nb[v]
-        return out
-
-    best_size = 0
-    best_bits = 0
-
-    def expand(size, member_bits, cand):
-        nonlocal best_size, best_bits
-        for v, c in reversed(color_order(cand)):
-            if size + c <= best_size:
-                return
-            b = 1 << v
-            if size + 1 > best_size:
-                best_size = size + 1
-                best_bits = member_bits | b
-            nxt = cand & nb[v]
-            if nxt:
-                expand(size + 1, member_bits | b, nxt)
-            cand ^= b
-
-    expand(0, 0, (1 << n) - 1)
-    return _ids(best_bits)
-
-
 def is_isomorphic(g, h) -> bool:
     return find_isomorphism(g, h) is not None
 
@@ -442,7 +374,8 @@ def find_isomorphism(g, h):
         return None
     if len(g.edges) in (0, n * (n - 1) // 2):
         return tuple(range(n))
-    if sorted(map(len, g._adj)) != sorted(map(len, h._adj)):
+    g_adj, h_adj = g._neighbour_lists(), h._neighbour_lists()
+    if sorted(map(len, g_adj)) != sorted(map(len, h_adj)):
         return None
     if n > ISO_VERTEX_LIMIT:
         raise BudgetError(f"isomorphism limited to {ISO_VERTEX_LIMIT} vertices (got {n})",
@@ -465,7 +398,7 @@ def find_isomorphism(g, h):
                     h_cell[v] = i
             out = []
             for a, b in cells:
-                ga, hb = split(a, g._adj, g_cell), split(b, h._adj, h_cell)
+                ga, hb = split(a, g_adj, g_cell), split(b, h_adj, h_cell)
                 if ga.keys() != hb.keys():
                     return None
                 for key in sorted(ga):

@@ -6,8 +6,9 @@ header "vertices N" declaring extra isolated vertices.  Tokens map to dense
 indices in first-seen order and the names stick to the graph; a declared
 vertex i is named i unless a token already is, and then takes the smallest
 decimal name no token uses.  The DOT subset accepts one `strict? graph ID?
-{ a -- b; ... }` with attribute brackets and `ID = ID` settings ignored, where
-an ID is a word of letters, digits, '_' and '.' or a double-quoted string.
+{ a -- b; ... }` with attribute lists `[ID = ID, ...]` and `ID = ID` settings
+ignored, where an ID is a word of letters, digits, '_' and '.' or a
+double-quoted string.
 """
 
 from __future__ import annotations
@@ -116,12 +117,22 @@ def parse_dot(text) -> Graph:
     tokens.append(end)
 
     def after_attributes(i):
-        """Index of the first token after the attribute lists that start at i."""
-        depth = 0
-        while depth or tokens[i][0] == "[":
-            if tokens[i] is end:
-                fail(tokens[-2], "unterminated attribute list")
-            depth += (tokens[i][0] == "[") - (tokens[i][0] == "]")
+        """Index of the first token after the attribute lists that start at i,
+        each '[', then ID '=' ID pairs each optionally followed by ';' or ',',
+        then ']'."""
+        while tokens[i][0] == "[":
+            i += 1
+            while tokens[i][0] != "]":
+                tok = tokens[i]
+                if tok is end or tok[0] == "}":
+                    fail(tokens[-2] if tok is end else tok, "unterminated attribute list")
+                if not tok[2]:
+                    fail(tok, "expected an attribute name or ']'")
+                if tokens[i + 1][0] != "=":
+                    fail(tokens[i + 1], "expected '=' after an attribute name")
+                if not tokens[i + 2][2]:
+                    fail(tokens[i + 2], "expected an ID after '='")
+                i += 3 + (tokens[i + 3][0] in (";", ","))
             i += 1
         return i
 

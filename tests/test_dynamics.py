@@ -7,7 +7,7 @@ import random
 import time
 
 from forestgraph import (BudgetError, Cycle, Graph, GraphInputError, blocks,
-                         build_forest_graph, classify,
+                         build_forest_graph, cartesian_product, classify,
                          clique_witness_from_complete, clique_witness_from_cycle,
                          clique_witness_from_two_triangles, complete_graph,
                          cycle_graph, enumerate_graphs, extend_to_maximal,
@@ -20,7 +20,8 @@ from forestgraph import checks, dynamics, forest_graph, forests, graphs, roots
 from forestgraph.checks import divergence_bigger_clique
 from forestgraph.forests import FOREST_BUDGET, MaximalForest
 
-from .oracles import brute_force_cycles, brute_force_isomorphic, unique_cycle
+from .oracles import (brute_force_cycles, brute_force_isomorphic,
+                      brute_force_max_clique_size, unique_cycle)
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
@@ -107,8 +108,7 @@ class TestClassify:
             raise AssertionError("classify ran a search")
 
         # the budgeted searches left in graphs; dynamics imports none of them
-        for module, name in ((graphs, "max_clique"), (graphs, "find_isomorphism"),
-                             (graphs, "is_isomorphic")):
+        for module, name in ((graphs, "find_isomorphism"), (graphs, "is_isomorphic")):
             monkeypatch.setattr(module, name, refuse)
         for g in [g for n in range(1, 7) for g in enumerate_graphs(n)] + [TRAP]:
             verdict = classify(g)
@@ -540,6 +540,14 @@ class TestCliqueGrowth:
 class TestBiggerClique:
     """The ring behind `divergence_bigger_clique` is built from g."""
 
+    def test_largest_clique_matches_the_oracle(self):
+        rook = cartesian_product(cycle_graph(3), cycle_graph(3))
+        for g in [g for n in range(8) for g in enumerate_graphs(n)] + [rook]:
+            clique = checks._largest_clique(g)
+            assert all(g.has_edge(a, b) for a, b in itertools.combinations(clique, 2)), g
+            assert len(clique) == brute_force_max_clique_size(g), g
+        assert checks._largest_clique(rook) == (0, 1, 2)
+
     @pytest.mark.parametrize("g, size", [
         (complete_graph(4), 5),  # closed by the chord forest
         (complete_graph(5), 6),
@@ -560,7 +568,7 @@ class TestBiggerClique:
                 assert divergence_bigger_clique(g, build_forest_graph(g)) is None, g
                 continue
             divergent += 1
-            clique = graphs.max_clique(g)
+            clique = checks._largest_clique(g)
             if len(clique) >= 4:
                 ring = ring_witness_from_clique(g, clique).forests
             else:

@@ -354,8 +354,8 @@ class TestProductWalk:
 
 
 class TestEdgeTable:
-    """F(g) is built as its edge table; its adjacency is derived only when
-    something reads it, and then it is what `Graph` builds at once."""
+    """Every graph keeps its edge table and derives its adjacency only when
+    something reads it: F(g) as built, and every input graph."""
 
     @pytest.fixture
     def adjacency_cap(self, monkeypatch):
@@ -372,18 +372,32 @@ class TestEdgeTable:
         monkeypatch.setattr(graphs, "_adjacency", guarded)
         return limit
 
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """The vertex count of each adjacency derived, in order."""
+        counts = []
+        derive = graphs._adjacency
+
+        def counted(n, edges):
+            counts.append(n)
+            return derive(n, edges)
+
+        monkeypatch.setattr(graphs, "_adjacency", counted)
+        return counts
+
     def test_edges_order_and_family_need_no_adjacency(self, adjacency_cap):
         rng = random.Random(29)
         inputs = [multiset_graph(rng, names) for names in BUILD_MULTISETS.values()]
-        adjacency_cap[0] = -1
         for g, count in zip(inputs, BUILD_MULTISETS):
+            # `blocks` reads the input's own adjacency, and nothing reads F(g)'s
+            adjacency_cap[0] = g.vertex_count
             fg = build_forest_graph(g)
             assert fg.graph.vertex_count == len(fg.family) == count
             assert fg.graph.edges == bucket_join_edges([f.bits for f in fg.family])
 
     @pytest.mark.parametrize("fmt", ["human", "structured", "dot"])
     def test_fgraph_subcommand_needs_no_adjacency(self, monkeypatch, capsys, adjacency_cap, fmt):
-        # the input graph's own adjacency is built as it is parsed
+        # only the input graph's own adjacency is derived, by `blocks`
         for g in (triangle_chain(3), complete_graph(5)):
             text = io.format_edge_list(g)
             outputs = []
@@ -398,10 +412,40 @@ class TestEdgeTable:
 
     def test_first_read_makes_a_plain_graph(self):
         fg = build_forest_graph(BOWTIE).graph
-        assert type(fg) is not Graph and isinstance(fg, Graph)
+        assert type(fg) is Graph
         assert fg.neighbors(0) == Graph(9, fg.edges).neighbors(0)
         assert type(fg) is Graph
+        assert "__getattr__" not in vars(Graph)
         assert not hasattr(build_forest_graph(BOWTIE).graph, "vertex_labels")
+
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(5, BOWTIE.edges),
+        lambda: parse_edge_list(io.format_edge_list(BOWTIE)),
+        lambda: parse_dot(io.format_dot(BOWTIE)),
+    ], ids=["Graph", "parse_edge_list", "parse_dot"])
+    @pytest.mark.parametrize("read", [
+        lambda g: g.neighbors(2), lambda g: g.degree(2), graphs.blocks,
+    ], ids=["neighbors", "degree", "blocks"])
+    def test_first_read_derives_the_adjacency_once(self, derived, make, read):
+        g = make()
+        assert derived == []
+        first = read(g)
+        assert derived == [5]
+        assert read(g) == first and g.neighbors(2) == (0, 1, 3, 4)
+        assert derived == [5]
+
+    def test_first_read_pauses_the_collector(self):
+        collector_on = []
+
+        class Edges:
+            def __iter__(self):
+                collector_on.append(gc.isenabled())
+                return iter(BOWTIE.edges)
+
+        g = Graph._from_edges(5, Edges())
+        assert gc.isenabled()
+        assert g.degree(2) == 4
+        assert collector_on == [False] and gc.isenabled()
 
     def test_second_iterate_matches_a_validated_build(self):
         fg = build_forest_graph(BOWTIE).graph

@@ -9,12 +9,12 @@ from forestgraph import (BudgetError, Cycle, Graph, GraphInputError,
                          blocks, bridges, build_forest_graph, cartesian_product,
                          complete_graph, components, cycle_graph,
                          enumerate_graphs, find_isomorphism, is_bipartite,
-                         is_isomorphic, max_clique, path_graph)
+                         is_isomorphic, path_graph)
 from forestgraph.graphs import _ids, _mask
 
 from .oracles import (brute_force_blocks, brute_force_bridges,
                       brute_force_cycles, brute_force_isomorphic,
-                      brute_force_max_clique_size, cyclomatic_number,
+                      cyclomatic_number,
                       hamiltonian_cycle, union_find_bipartite,
                       union_find_components, unique_cycle)
 
@@ -313,29 +313,6 @@ class TestOneBfs:
                 # the Cycle constructor checked each edge of the walk in g
                 assert report.coloring is None
                 assert report.odd_cycle.host is g and report.odd_cycle.length % 2 == 1
-
-
-class TestMaxClique:
-    def test_k5(self):
-        assert len(max_clique(complete_graph(5))) == 5
-
-    def test_c6(self):
-        assert len(max_clique(cycle_graph(6))) == 2
-
-    def test_rook_graph_is_k4_free(self):
-        rook = cartesian_product(cycle_graph(3), cycle_graph(3))
-        assert len(max_clique(rook)) == brute_force_max_clique_size(rook) == 3
-
-    def test_against_oracle_exhaustively(self):
-        for g in small_corpus(5):
-            clique = max_clique(g)
-            for a, b in itertools.combinations(clique, 2):
-                assert g.has_edge(a, b)
-            assert len(clique) == brute_force_max_clique_size(g), g
-
-    def test_size_guard(self):
-        with pytest.raises(BudgetError):
-            max_clique(Graph(201, []))
 
 
 class TestHamiltonian:

@@ -147,11 +147,21 @@ class TestDotParse:
         ("graph { a = ; }", 13, "expected an ID after '='"),
         ("graph { a -- , }", 14, "dangling edge operator"),
         ("graph = { }", 7, "expected a graph name or '{'"),
+        ("graph { a [ } ; { -- ] -- b }", 13, "unterminated attribute list"),
+        ("graph { a [ [ ] ] -- b [ = = ] }", 13, "expected an attribute name or ']'"),
+        ("graph { a [label] }", 17, "expected '=' after an attribute name"),
+        ("graph { a [color=red [shape=box]] }", 22, "expected an attribute name or ']'"),
+        ("graph { a [color=red;; shape=box] }", 22, "expected an attribute name or ']'"),
+        ("graph { a [color= ] }", 19, "expected an ID after '='"),
     ])
     def test_errors_name_their_column(self, text, column, message):
         with pytest.raises(ParseError) as info:
             parse_dot(text)
         assert str(info.value) == f"line 1, column {column}: {message}"
+
+    def test_attribute_lists_ignored(self):
+        g = parse_dot('graph { a [color=red, shape=box;] -- b [] [label="x y" width=2] }')
+        assert g.vertex_names == ("a", "b") and g.edges == ((0, 1),)
 
     def test_graph_attribute_statement_ignored(self):
         g = parse_dot("graph { rankdir = LR; c -- d }")
